@@ -79,39 +79,35 @@ fn bench_merge_chain(c: &mut Criterion) {
     group.finish();
 }
 
-/// §4.2 ablation: symmetric balanced merge trees with per-merge inversion
-/// vs. a shared alias-table cache for the hypergeometric splits.
-fn bench_tree_alias_cache(c: &mut Criterion) {
-    use swh_core::merge::{hr_merge_tree_cached, merge_tree, HypergeometricCache};
+/// The union engine vs. the paper's serial fold over the same partitions:
+/// one planned merge DAG (alias-cached symmetric splits, §4.2, and
+/// multiway hypergeometric nodes) run inline on one thread.
+fn bench_union_engine(c: &mut Criterion) {
+    use swh_core::merge::merge_tree_parallel;
     let per = 1 << 13;
     let n_f = 2048;
-    let mut group = c.benchmark_group("symmetric_tree_alias_ablation");
+    let mut group = c.benchmark_group("union_engine_vs_fold");
     group.sample_size(10);
     for parts in [16u64, 64] {
         let samples = hr_samples(n_f, parts, per);
         group.bench_with_input(
-            BenchmarkId::new("inversion_per_merge", parts),
+            BenchmarkId::new("serial_fold", parts),
             &samples,
             |b, samples| {
                 let mut rng = seeded_rng(7);
                 b.iter(|| {
-                    let m = merge_tree(samples.clone(), 1e-3, &mut rng).expect("merge");
+                    let m = merge_all(samples.clone(), 1e-3, &mut rng).expect("merge");
                     black_box(m.size())
                 })
             },
         );
         group.bench_with_input(
-            BenchmarkId::new("shared_alias_cache", parts),
+            BenchmarkId::new("engine_1t", parts),
             &samples,
             |b, samples| {
                 let mut rng = seeded_rng(8);
-                // The cache persists across iterations, modeling the
-                // paper's scenario of many merges over fixed partition
-                // sizes.
-                let mut cache = HypergeometricCache::new();
                 b.iter(|| {
-                    let m =
-                        hr_merge_tree_cached(samples.clone(), &mut cache, &mut rng).expect("merge");
+                    let m = merge_tree_parallel(samples.clone(), 1e-3, 1, &mut rng).expect("merge");
                     black_box(m.size())
                 })
             },
@@ -125,6 +121,6 @@ criterion_group! {
     config = Criterion::default().sample_size(20)
         .warm_up_time(std::time::Duration::from_millis(500))
         .measurement_time(std::time::Duration::from_secs(2));
-    targets = bench_pairwise, bench_merge_chain, bench_tree_alias_cache
+    targets = bench_pairwise, bench_merge_chain, bench_union_engine
 }
 criterion_main!(benches);

@@ -9,7 +9,7 @@ use swh_aqp::profile::profile;
 use swh_aqp::quantiles::estimate_median;
 use swh_aqp::query::{Predicate, Query};
 use swh_core::footprint::FootprintPolicy;
-use swh_core::merge::merge_all;
+use swh_core::merge::merge_union;
 use swh_core::sample::Sample;
 use swh_core::sampler::Sampler;
 use swh_core::SamplerStats;
@@ -371,7 +371,7 @@ fn merged_sample(
     .add(samples.len() as u64);
     let timer =
         swh_obs::ScopeTimer::new(&g.histogram("swh_cli_merge_ns", "wall time of CLI merges"));
-    let merged = merge_all(samples, p_bound, rng)?;
+    let merged = merge_union(samples, p_bound, rng)?;
     timer.stop();
     Ok(merged)
 }
@@ -856,7 +856,7 @@ fn trace_cmd(args: &Args, out: &mut dyn Write) -> CmdResult {
         let second: Vec<i64> = (4096..8192).collect();
         hr.observe_batch(&second, &mut rng);
         let b = hr.finalize(&mut rng);
-        merge_all(vec![a, b], 1e-3, &mut rng)?;
+        merge_union(vec![a, b], 1e-3, &mut rng)?;
     }
     let journal = swh_obs::journal::journal();
     write!(out, "{}", journal.dump())?;

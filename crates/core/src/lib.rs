@@ -19,16 +19,15 @@
 //! Samples produced by HB and HR are [`Sample`] values carrying the
 //! provenance (`Exhaustive`, `Bernoulli{q}`, or `Reservoir`) needed to merge
 //! them: [`merge::hb_merge`] implements Fig. 6, [`merge::hr_merge`]
-//! implements Fig. 8 (hypergeometric split, Theorem 1), and [`merge::merge`]
-//! dispatches on provenance exactly as the paper prescribes.
+//! implements Fig. 8 (hypergeometric split, Theorem 1), [`merge::merge`]
+//! dispatches on provenance exactly as the paper prescribes, and
+//! [`merge::merge_union`] merges any number of samples through one planned
+//! merge DAG.
 
 pub mod audit;
 pub mod bernoulli;
-pub mod bilevel;
 pub mod concise;
 pub mod costmodel;
-pub mod counting;
-pub mod distinct_sampler;
 pub mod executor;
 pub mod footprint;
 pub mod fxhash;
@@ -47,30 +46,21 @@ pub mod sampler;
 pub mod sb;
 pub mod stats;
 pub mod stratified;
-pub mod systematic;
 pub mod value;
-pub mod weighted;
 
 pub use bernoulli::BernoulliSampler;
-pub use bilevel::BiLevelBernoulli;
 pub use concise::ConciseSampler;
 pub use costmodel::{CostEntry, CostModel};
-pub use counting::CountingSampler;
-pub use distinct_sampler::DistinctSampler;
 pub use footprint::FootprintPolicy;
 pub use histogram::CompactHistogram;
 pub use hybrid_bernoulli::HybridBernoulli;
 pub use hybrid_reservoir::HybridReservoir;
 pub use lineage::{LineageEvent, PurgeKind};
 pub use merge::{
-    hb_merge, hr_merge, hr_merge_cached, hr_merge_multiway, hr_merge_multiway_borrowed,
-    hr_merge_tree_cached, merge, merge_all, merge_all_borrowed, merge_borrowed, merge_tree,
+    hb_merge, hr_merge, hr_merge_multiway, merge, merge_all, merge_tree_parallel, merge_union,
     HypergeometricCache, MergeError,
 };
-pub use planner::{
-    fold_cost, merge_planned, plan_union, planned_cost, MergePlan, NodeShape, PlanNode, PlanOp,
-    ShapeKind, Skeleton,
-};
+pub use planner::{plan_union, MergePlan, NodeShape, PlanNode, PlanOp, ShapeKind};
 pub use qbound::{q_approx, q_exact};
 pub use reservoir::ReservoirSampler;
 pub use sample::{Sample, SampleKind};
@@ -78,6 +68,4 @@ pub use sampler::Sampler;
 pub use sb::StratifiedBernoulli;
 pub use stats::SamplerStats;
 pub use stratified::StratifiedSample;
-pub use systematic::SystematicSampler;
 pub use value::SampleValue;
-pub use weighted::WeightedReservoir;

@@ -15,7 +15,11 @@
 //!   simple random sample of size `k = min(|S1|, |S2|)` from `D1 ∪ D2`).
 //! * [`merge`] — picks the right rule from the two samples' provenance, and
 //!   [`merge_all`] folds it over any number of partition samples (the
-//!   paper's serial pairwise merge).
+//!   paper's serial pairwise merge, kept as the experiments' baseline).
+//! * [`merge_union`] — the warehouse's union engine: one planned merge DAG
+//!   ([`crate::planner::plan_union`]) run on the work-stealing executor,
+//!   combining the pairwise rules with alias-cached symmetric splits
+//!   (§4.2) and multiway hypergeometric nodes ([`hr_merge_multiway`]).
 //!
 //! All rules require the two samples to share the same footprint policy and
 //! refuse concise samples (not uniform, §3.3).
@@ -26,9 +30,7 @@ use crate::hybrid_reservoir::HybridReservoir;
 use crate::invariant::invariant;
 use crate::lineage::{merged_lineage, merged_lineage_with_purges, LineageEvent, PurgeKind};
 use crate::planner::{plan_union, MergePlan, NodeShape, PlanOp};
-use crate::purge::{
-    bernoulli_subsample_ref, purge_bernoulli, purge_reservoir, reservoir_subsample_ref,
-};
+use crate::purge::{purge_bernoulli, purge_reservoir};
 use crate::qbound::q_approx;
 use crate::sample::{Sample, SampleKind};
 use crate::sampler::Sampler;
@@ -335,6 +337,20 @@ fn hr_merge_reservoirs<T: SampleValue, R: Rng + ?Sized>(
     s2: Sample<T>,
     rng: &mut R,
 ) -> Result<Sample<T>, MergeError> {
+    hr_merge_split(s1, s2, rng, |n1, n2, k, rng| {
+        Hypergeometric::new(n1, n2, k).sample(rng)
+    })
+}
+
+/// The body of [`hr_merge_reservoirs`] with the Eq. (2) split `L` drawn by
+/// `split(|D1|, |D2|, k, rng)` — by inversion, or from a shared alias
+/// table for the engine's cached pairs.
+fn hr_merge_split<T: SampleValue, R: Rng + ?Sized>(
+    s1: Sample<T>,
+    s2: Sample<T>,
+    rng: &mut R,
+    split: impl FnOnce(u64, u64, u64, &mut R) -> u64,
+) -> Result<Sample<T>, MergeError> {
     let policy = s1.policy();
     let (n1, n2) = (s1.parent_size(), s2.parent_size());
     // Degenerate cases: an empty *partition* contributes nothing.
@@ -351,8 +367,7 @@ fn hr_merge_reservoirs<T: SampleValue, R: Rng + ?Sized>(
     let mut h2 = s2.into_histogram();
     // Fig. 8 lines 6–10: draw the split from Eq. (2) and subsample each
     // side to its share.
-    let dist = Hypergeometric::new(n1, n2, k);
-    let l = dist.sample(rng);
+    let l = split(n1, n2, k, rng);
     invariant!(
         l <= k.min(h1.total()),
         "HRMerge split L = {l} exceeds min(k = {k}, |S1| = {})",
@@ -468,192 +483,6 @@ pub fn merge_all<T: SampleValue, R: Rng + ?Sized>(
     Ok(acc)
 }
 
-/// [`merge`] with a borrowed right-hand sample: fold an owned accumulator
-/// against `s` without cloning `s`'s histogram — only the elements that
-/// actually survive into the result are cloned. This is the read-mostly
-/// path (e.g. sliding-window queries merge the same resident samples on
-/// every query).
-///
-/// Dispatch mirrors [`merge`] with one deviation: when the *accumulator*
-/// is exhaustive and `s` is not, the owned re-stream path would need to
-/// consume `s`, so the accumulator is instead treated as the simple random
-/// sample it is (an exhaustive sample is an SRS of size `|D|`, Theorem 1)
-/// and merged hypergeometrically. That can yield a smaller (still uniform)
-/// result than re-streaming; callers that hold small exhaustive partitions
-/// and want maximal merged sizes should use the owning [`merge_all`].
-pub fn merge_borrowed<T: SampleValue, R: Rng + ?Sized>(
-    acc: Sample<T>,
-    s: &Sample<T>,
-    p_bound: f64,
-    rng: &mut R,
-) -> Result<Sample<T>, MergeError> {
-    check_mergeable(&acc, s)?;
-    let _prof = merge_profile_scope(acc.kind(), s.kind(), acc.size() + s.size());
-    let combined_n = acc.parent_size() + s.parent_size();
-
-    // Borrowed exhaustive side: re-stream its values into a sampler
-    // resumed from the owned accumulator (stream_into only borrows).
-    if s.kind() == SampleKind::Exhaustive {
-        let merged = if matches!(acc.kind(), SampleKind::Bernoulli { .. }) {
-            let mut hb = HybridBernoulli::resume(acc, combined_n, p_bound, rng);
-            stream_into(&mut hb, s.histogram(), rng);
-            hb.finalize(rng)
-        } else {
-            let mut hr = HybridReservoir::resume(acc, rng);
-            stream_into(&mut hr, s.histogram(), rng);
-            hr.finalize(rng)
-        };
-        let lin = merged_lineage(&[s.lineage(), merged.lineage()], 2, 0);
-        note_merge(2, 0);
-        return Ok(merged.with_lineage(lin));
-    }
-
-    // Both Bernoulli: rate-equalize (Fig. 6 lines 8–16), thinning the
-    // borrowed side by reference.
-    if let (SampleKind::Bernoulli { q: q1, .. }, SampleKind::Bernoulli { q: q2, .. }) =
-        (acc.kind(), s.kind())
-    {
-        let policy = acc.policy();
-        let n_f = policy.n_f();
-        let q = q_approx(combined_n, p_bound, n_f).min(q1).min(q2);
-        // Audit the q-decay trajectory (see hb_merge above).
-        crate::audit::global().note_q_decay(q, q_approx(combined_n, p_bound, n_f));
-        let lin1 = acc.lineage().to_vec();
-        let mut h1 = acc.into_histogram();
-        purge_bernoulli(&mut h1, q / q1, rng);
-        let h2 = bernoulli_subsample_ref(s.histogram(), q / q2, rng);
-        let mut purges = vec![
-            (PurgeKind::Bernoulli, h1.total()),
-            (PurgeKind::Bernoulli, h2.total()),
-        ];
-        note_merge(2, 0);
-        if h1.joined_slots(&h2) <= n_f && h1.total() + h2.total() <= n_f {
-            h1.join(h2);
-            let lineage = merged_lineage_with_purges(&[&lin1, s.lineage()], &purges, 2, 0);
-            return Ok(Sample::from_parts(
-                h1,
-                SampleKind::Bernoulli { q, p_bound },
-                combined_n,
-                policy,
-            )
-            .with_lineage(lineage));
-        }
-        let hist = reservoir_of_concatenation(h1, h2, n_f, rng);
-        purges.push((PurgeKind::Reservoir, hist.total()));
-        let lineage = merged_lineage_with_purges(&[&lin1, s.lineage()], &purges, 2, 0);
-        return Ok(
-            Sample::from_parts(hist, SampleKind::Reservoir, combined_n, policy)
-                .with_lineage(lineage),
-        );
-    }
-
-    // Everything else involves a simple random sample on at least one
-    // side (exhaustive accumulators are SRSs of their whole partition;
-    // Bernoulli inputs are conditionally SRSs, §3.2): hypergeometric
-    // split per Theorem 1.
-    hr_merge_reservoirs_ref(acc, s, rng)
-}
-
-/// [`hr_merge_reservoirs`] with a borrowed right-hand sample: only `s`'s
-/// surviving share of the split is cloned.
-fn hr_merge_reservoirs_ref<T: SampleValue, R: Rng + ?Sized>(
-    acc: Sample<T>,
-    s: &Sample<T>,
-    rng: &mut R,
-) -> Result<Sample<T>, MergeError> {
-    let policy = acc.policy();
-    let (n1, n2) = (acc.parent_size(), s.parent_size());
-    if n1 == 0 {
-        return Ok(s.clone());
-    }
-    if n2 == 0 {
-        return Ok(acc);
-    }
-    let k = acc.size().min(s.size());
-    let lin1 = acc.lineage().to_vec();
-    let mut h1 = acc.into_histogram();
-    let dist = Hypergeometric::new(n1, n2, k);
-    let l = dist.sample(rng);
-    invariant!(
-        l <= k.min(h1.total()),
-        "HRMerge split L = {l} exceeds min(k = {k}, |S1| = {})",
-        h1.total()
-    );
-    purge_reservoir(&mut h1, l, rng);
-    let h2 = reservoir_subsample_ref(s.histogram(), k - l, rng);
-    let purges = [
-        (PurgeKind::Reservoir, h1.total()),
-        (PurgeKind::Reservoir, h2.total()),
-    ];
-    h1.join(h2);
-    debug_assert_eq!(h1.total(), k);
-    note_merge(2, l);
-    crate::audit::global().note_split(n1, n2, k, l);
-    Ok(
-        Sample::from_parts(h1, SampleKind::Reservoir, n1 + n2, policy).with_lineage(
-            merged_lineage_with_purges(&[&lin1, s.lineage()], &purges, 2, l),
-        ),
-    )
-}
-
-/// Serial pairwise [`merge_borrowed`] over borrowed partition samples: the
-/// first sample is cloned as the seed accumulator, every further input is
-/// merged by reference. The companion of [`merge_all`] for callers that
-/// keep their samples resident (sliding windows, catalog queries).
-///
-/// # Panics
-/// Panics if `samples` is empty.
-pub fn merge_all_borrowed<'a, T, R>(
-    samples: impl IntoIterator<Item = &'a Sample<T>>,
-    p_bound: f64,
-    rng: &mut R,
-) -> Result<Sample<T>, MergeError>
-where
-    T: SampleValue + 'a,
-    R: Rng + ?Sized,
-{
-    let mut iter = samples.into_iter();
-    let Some(first) = iter.next() else {
-        panic!("merge_all_borrowed needs at least one sample");
-    };
-    let mut acc = first.clone();
-    for s in iter {
-        acc = merge_borrowed(acc, s, p_bound, rng)?;
-    }
-    Ok(acc)
-}
-
-/// Balanced binary merge tree: merges halves recursively instead of folding
-/// left-to-right. Produces the same uniform distribution as [`merge_all`];
-/// with equal-size partitions it also keeps every HB intermediate at a
-/// higher Bernoulli rate (fewer rate reductions per element) and is the
-/// shape the paper's §4.2 alias-table optimization targets.
-///
-/// # Panics
-/// Panics if `samples` is empty.
-pub fn merge_tree<T: SampleValue, R: Rng + ?Sized>(
-    mut samples: Vec<Sample<T>>,
-    p_bound: f64,
-    rng: &mut R,
-) -> Result<Sample<T>, MergeError> {
-    assert!(!samples.is_empty(), "merge_tree needs at least one sample");
-    while samples.len() > 1 {
-        let mut next = Vec::with_capacity(samples.len().div_ceil(2));
-        let mut iter = samples.into_iter();
-        while let Some(a) = iter.next() {
-            match iter.next() {
-                Some(b) => next.push(merge(a, b, p_bound, rng)?),
-                None => next.push(a),
-            }
-        }
-        samples = next;
-    }
-    let Some(result) = samples.pop() else {
-        panic!("merge_tree halving keeps the worklist non-empty");
-    };
-    Ok(result)
-}
-
 /// Deterministic RNG stream for plan node `idx`. Seeds are derived from a
 /// base drawn once from the caller's RNG, decorrelated across node indices
 /// by a golden-ratio odd multiplier, so every node's draws depend only on
@@ -663,70 +492,6 @@ fn plan_node_rng(base: u64, idx: usize) -> impl Rng {
     seeded_rng(base ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(index_u64(idx).wrapping_add(1)))
 }
 
-/// One input to a plan-node merge: either a sample owned by this union
-/// (a leaf handed in by value, or an upstream node's result) or a borrowed
-/// resident sample (the `*_borrowed` entry points).
-enum PlanInput<'a, T: SampleValue> {
-    Owned(Sample<T>),
-    Borrowed(&'a Sample<T>),
-}
-
-impl<T: SampleValue> PlanInput<'_, T> {
-    fn get(&self) -> &Sample<T> {
-        match self {
-            PlanInput::Owned(s) => s,
-            PlanInput::Borrowed(s) => s,
-        }
-    }
-
-    fn into_owned(self) -> Sample<T> {
-        match self {
-            PlanInput::Owned(s) => s,
-            PlanInput::Borrowed(s) => s.clone(),
-        }
-    }
-
-    /// Reservoir-subsample this input down to `m` elements, returning the
-    /// resulting histogram and the input's lineage. Owned inputs are
-    /// purged in place; borrowed inputs only clone their surviving share.
-    fn subsampled_histogram<R: Rng + ?Sized>(
-        self,
-        m: u64,
-        rng: &mut R,
-    ) -> (CompactHistogram<T>, Vec<LineageEvent>) {
-        match self {
-            PlanInput::Owned(s) => {
-                let lineage = s.lineage().to_vec();
-                let mut h = s.into_histogram();
-                purge_reservoir(&mut h, m, rng);
-                (h, lineage)
-            }
-            PlanInput::Borrowed(s) => (
-                reservoir_subsample_ref(s.histogram(), m, rng),
-                s.lineage().to_vec(),
-            ),
-        }
-    }
-}
-
-/// Pairwise merge of two plan inputs through the standard dispatch,
-/// borrowing where the ownership combination allows it.
-fn plan_pair_merge<T: SampleValue, R: Rng + ?Sized>(
-    a: PlanInput<'_, T>,
-    b: PlanInput<'_, T>,
-    p_bound: f64,
-    rng: &mut R,
-) -> Result<Sample<T>, MergeError> {
-    match (a, b) {
-        (PlanInput::Owned(x), PlanInput::Owned(y)) => merge(x, y, p_bound, rng),
-        (PlanInput::Owned(x), PlanInput::Borrowed(y)) => merge_borrowed(x, y, p_bound, rng),
-        (PlanInput::Borrowed(x), PlanInput::Owned(y)) => merge_borrowed(y, x, p_bound, rng),
-        (PlanInput::Borrowed(x), PlanInput::Borrowed(y)) => {
-            merge_borrowed(x.clone(), y, p_bound, rng)
-        }
-    }
-}
-
 /// `HRMerge` of two equal-size simple random samples with the split served
 /// from the union's shared [`HypergeometricCache`] (§4.2) — the executor's
 /// `CachedPair` operator. Statistically identical to
@@ -734,131 +499,34 @@ fn plan_pair_merge<T: SampleValue, R: Rng + ?Sized>(
 /// (alias table vs. direct inversion), and cached table construction is
 /// deterministic per key, so cache state never affects results.
 fn plan_cached_merge<T: SampleValue, R: Rng + ?Sized>(
-    a: PlanInput<'_, T>,
-    b: PlanInput<'_, T>,
+    s1: Sample<T>,
+    s2: Sample<T>,
     cache: &Mutex<HypergeometricCache>,
     rng: &mut R,
 ) -> Result<Sample<T>, MergeError> {
-    check_mergeable(a.get(), b.get())?;
-    let _prof = merge_profile_scope(
-        a.get().kind(),
-        b.get().kind(),
-        a.get().size() + b.get().size(),
-    );
-    let policy = a.get().policy();
-    let (n1, n2) = (a.get().parent_size(), b.get().parent_size());
-    if n1 == 0 {
-        return Ok(b.into_owned());
-    }
-    if n2 == 0 {
-        return Ok(a.into_owned());
-    }
-    let k = a.get().size().min(b.get().size());
-    let l = {
+    check_mergeable(&s1, &s2)?;
+    let _prof = merge_profile_scope(s1.kind(), s2.kind(), s1.size() + s2.size());
+    hr_merge_split(s1, s2, rng, |n1, n2, k, rng| {
         let mut tables = cache.lock().unwrap_or_else(PoisonError::into_inner);
         tables.split(n1, n2, k, rng)
-    };
-    invariant!(
-        l <= k.min(a.get().size()),
-        "HRMerge split L = {l} exceeds min(k = {k}, |S1| = {})",
-        a.get().size()
-    );
-    let (mut h1, lin1) = a.subsampled_histogram(l, rng);
-    let (h2, lin2) = b.subsampled_histogram(k - l, rng);
-    let purges = [
-        (PurgeKind::Reservoir, h1.total()),
-        (PurgeKind::Reservoir, h2.total()),
-    ];
-    h1.join(h2);
-    debug_assert_eq!(h1.total(), k);
-    note_merge(2, l);
-    crate::audit::global().note_split(n1, n2, k, l);
-    Ok(
-        Sample::from_parts(h1, SampleKind::Reservoir, n1 + n2, policy)
-            .with_lineage(merged_lineage_with_purges(&[&lin1, &lin2], &purges, 2, l)),
-    )
-}
-
-/// Shared implementation of the multiway hypergeometric merge over owned
-/// and/or borrowed inputs; see [`hr_merge_multiway`] for the statistics.
-fn hr_merge_multiway_inputs<T: SampleValue, R: Rng + ?Sized>(
-    mut inputs: Vec<PlanInput<'_, T>>,
-    rng: &mut R,
-) -> Result<Sample<T>, MergeError> {
-    let Some(first) = inputs.first() else {
-        panic!("multiway merge needs at least one sample");
-    };
-    let policy = first.get().policy();
-    if inputs.iter().any(|s| s.get().policy() != policy) {
-        return Err(MergeError::PolicyMismatch);
-    }
-    if inputs
-        .iter()
-        .any(|s| matches!(s.get().kind(), SampleKind::Concise { .. }))
-    {
-        return Err(MergeError::ConciseNotMergeable);
-    }
-    if inputs.len() == 1 {
-        let Some(only) = inputs.pop() else {
-            panic!("a one-element vector pops an element");
-        };
-        return Ok(only.into_owned());
-    }
-    let total_in: u64 = inputs.iter().map(|s| s.get().size()).sum();
-    let _prof = merge_profile_scope(SampleKind::Reservoir, SampleKind::Reservoir, total_in);
-    // Drop empty partitions (they contribute nothing, and zero-size
-    // samples of non-empty parents would needlessly force k = 0).
-    let inputs: Vec<_> = inputs
-        .into_iter()
-        .filter(|s| s.get().parent_size() > 0)
-        .collect();
-    if inputs.is_empty() {
-        return Ok(Sample::from_parts(
-            CompactHistogram::new(),
-            SampleKind::Reservoir,
-            0,
-            policy,
-        ));
-    }
-    let k = inputs.iter().map(|s| s.get().size()).min().unwrap_or(0);
-    let parents: Vec<u64> = inputs.iter().map(|s| s.get().parent_size()).collect();
-    let total_parent: u64 = parents.iter().sum();
-    let fan_in = inputs.len() as u32;
-    let shares = swh_rand::hypergeometric::sample_multivariate(rng, &parents, k);
-    let mut merged = CompactHistogram::new();
-    let mut purges = Vec::with_capacity(inputs.len());
-    let mut lineages: Vec<Vec<LineageEvent>> = Vec::with_capacity(inputs.len());
-    for (s, share) in inputs.into_iter().zip(shares) {
-        let (h, lineage) = s.subsampled_histogram(share, rng);
-        purges.push((PurgeKind::Reservoir, h.total()));
-        lineages.push(lineage);
-        merged.join(h);
-    }
-    debug_assert_eq!(merged.total(), k);
-    let parent_lineages: Vec<&[LineageEvent]> = lineages.iter().map(Vec::as_slice).collect();
-    note_merge(fan_in, 0);
-    Ok(
-        Sample::from_parts(merged, SampleKind::Reservoir, total_parent, policy).with_lineage(
-            merged_lineage_with_purges(&parent_lineages, &purges, fan_in, 0),
-        ),
-    )
+    })
 }
 
 /// Resolve one plan node's inputs: values the executor handed over for
-/// executed dependencies, leaf samples fetched from the caller's store for
+/// executed dependencies, leaf samples fetched from the caller's inputs for
 /// completed ones.
-fn gather_inputs<'a, T: SampleValue>(
+fn gather_inputs<T: SampleValue>(
     plan: &MergePlan,
     children: &[usize],
     taken: Vec<Option<Sample<T>>>,
-    fetch_leaf: &(dyn Fn(usize) -> PlanInput<'a, T> + Sync),
-) -> Vec<PlanInput<'a, T>> {
+    fetch_leaf: &(dyn Fn(usize) -> Sample<T> + Sync),
+) -> Vec<Sample<T>> {
     debug_assert_eq!(children.len(), taken.len());
     children
         .iter()
         .zip(taken)
         .map(|(&c, v)| match v {
-            Some(s) => PlanInput::Owned(s),
+            Some(s) => s,
             None => match &plan.nodes[c].op {
                 PlanOp::Leaf { input } => fetch_leaf(*input),
                 _ => panic!("executed dependency produced no value"),
@@ -869,11 +537,11 @@ fn gather_inputs<'a, T: SampleValue>(
 
 /// Execute one merge-plan node under its profile scope with its own
 /// deterministic RNG stream.
-fn exec_plan_node<'a, T: SampleValue>(
+fn exec_plan_node<T: SampleValue>(
     plan: &MergePlan,
     idx: usize,
     taken: Vec<Option<Sample<T>>>,
-    fetch_leaf: &(dyn Fn(usize) -> PlanInput<'a, T> + Sync),
+    fetch_leaf: &(dyn Fn(usize) -> Sample<T> + Sync),
     cache: &Mutex<HypergeometricCache>,
     p_bound: f64,
     base: u64,
@@ -892,7 +560,7 @@ fn exec_plan_node<'a, T: SampleValue>(
             let (Some(b), Some(a)) = (inputs.pop(), inputs.pop()) else {
                 panic!("pair node needs two inputs");
             };
-            plan_pair_merge(a, b, p_bound, &mut rng)
+            merge(a, b, p_bound, &mut rng)
         }
         PlanOp::CachedPair { .. } => {
             let (Some(b), Some(a)) = (inputs.pop(), inputs.pop()) else {
@@ -900,21 +568,72 @@ fn exec_plan_node<'a, T: SampleValue>(
             };
             plan_cached_merge(a, b, cache, &mut rng)
         }
-        PlanOp::Multiway { .. } => hr_merge_multiway_inputs(inputs, &mut rng),
+        PlanOp::Multiway { .. } => hr_merge_multiway(inputs, &mut rng),
     }
 }
 
-/// Run a merge plan on the DAG executor with `workers` pool workers
-/// (inline on the calling thread when `workers <= 1`).
-fn execute_plan<'a, T: SampleValue>(
+/// The union engine's merge plan for `samples`: [`plan_union`] over their
+/// shapes at their footprint bound.
+///
+/// # Panics
+/// Panics if `samples` is empty.
+pub fn union_plan<T: SampleValue>(samples: &[Sample<T>]) -> MergePlan {
+    let shapes: Vec<NodeShape> = samples.iter().map(NodeShape::of).collect();
+    let n_f = samples.first().map_or(0, |s| s.policy().n_f());
+    plan_union(&shapes, n_f)
+}
+
+/// Run `plan` (built by [`union_plan`] over the same `samples`) on the
+/// dependency-aware work-stealing executor ([`crate::executor`]) with at
+/// most `workers` pool workers — inline on the calling thread when
+/// `workers` is 1. This is the warehouse's one union engine: every merge
+/// of two or more samples outside the paper's serial-fold baseline runs
+/// here.
+///
+/// One base seed is drawn from the caller's RNG up front; each plan node
+/// then derives its own RNG stream via [`plan_node_rng`], so the result is
+/// **byte-identical run to run, across worker counts, and across steal
+/// orders** — `workers = 1` produces exactly the same sample as
+/// `workers = 64` for the same caller RNG state. Lineage Merge/Purge
+/// events are recorded per node exactly as the pairwise operators record
+/// them; only the association order differs from [`merge_all`].
+///
+/// # Panics
+/// Panics if `samples` is empty or does not match the plan's leaves, or
+/// if `workers` is zero.
+pub fn run_union<T: SampleValue, R: Rng + ?Sized>(
     plan: &MergePlan,
-    fetch_leaf: &(dyn Fn(usize) -> PlanInput<'a, T> + Sync),
+    samples: Vec<Sample<T>>,
     p_bound: f64,
     workers: usize,
-    base: u64,
+    rng: &mut R,
 ) -> Result<Sample<T>, MergeError> {
+    assert!(!samples.is_empty(), "a union needs at least one sample");
+    assert!(workers > 0, "a union needs at least one worker");
+    debug_assert_eq!(
+        plan.nodes
+            .iter()
+            .filter(|n| matches!(n.op, PlanOp::Leaf { .. }))
+            .count(),
+        samples.len(),
+        "plan was not built over these samples"
+    );
+    let base = rng.random::<u64>();
+    let workers = workers.min(plan.merge_node_count().max(1));
+    let leaves: Vec<Mutex<Option<Sample<T>>>> =
+        samples.into_iter().map(|s| Mutex::new(Some(s))).collect();
+    let fetch_leaf = |input: usize| -> Sample<T> {
+        let taken = {
+            let mut slot = leaves[input].lock().unwrap_or_else(PoisonError::into_inner);
+            slot.take()
+        };
+        match taken {
+            Some(s) => s,
+            None => panic!("plan leaf {input} consumed twice"),
+        }
+    };
     if let PlanOp::Leaf { input } = &plan.nodes[plan.root].op {
-        return Ok(fetch_leaf(*input).into_owned());
+        return Ok(fetch_leaf(*input));
     }
     let n = plan.nodes.len();
     let mut deps = Vec::with_capacity(n);
@@ -926,7 +645,7 @@ fn execute_plan<'a, T: SampleValue>(
     let costs: Vec<u64> = plan.nodes.iter().map(|node| node.cost).collect();
     let cache = Mutex::new(HypergeometricCache::new());
     let exec = |idx: usize, taken: Vec<Option<Sample<T>>>| {
-        exec_plan_node(plan, idx, taken, fetch_leaf, &cache, p_bound, base)
+        exec_plan_node(plan, idx, taken, &fetch_leaf, &cache, p_bound, base)
     };
     crate::executor::run_dag(
         &deps,
@@ -941,21 +660,27 @@ fn execute_plan<'a, T: SampleValue>(
     )
 }
 
-/// Planner-driven parallel union: [`plan_union`] lays out an explicit
-/// merge DAG over the input shapes (alias-cached pairs on equal-size
-/// siblings, multiway hypergeometric nodes on cheap fan-in, a descending
-/// re-stream chain for exhaustive inputs), and the dependency-aware
-/// work-stealing executor ([`crate::executor`]) runs it on at most
-/// `threads` pool workers — inline on the calling thread when the plan is
-/// too small for a pool to pay off.
+/// Uniform sample of the union of `samples` — the warehouse's union
+/// primitive. The union is planned once ([`union_plan`]); its worker count
+/// is [`MergePlan::machine_threads`] (the measured cost model over the
+/// machine's parallelism), so small unions run inline on one thread. The
+/// worker count never affects the result (see [`run_union`]).
 ///
-/// One base seed is drawn from the caller's RNG up front; each plan node
-/// then derives its own RNG stream via [`plan_node_rng`], so the result is
-/// **byte-identical run to run, across thread counts, and across steal
-/// orders** — `threads = 1` produces exactly the same sample as
-/// `threads = 64` for the same caller RNG state. Lineage Merge/Purge
-/// events are recorded per node exactly as the serial paths record them;
-/// only the association order differs from [`merge_all`].
+/// # Panics
+/// Panics if `samples` is empty.
+pub fn merge_union<T: SampleValue, R: Rng + ?Sized>(
+    samples: Vec<Sample<T>>,
+    p_bound: f64,
+    rng: &mut R,
+) -> Result<Sample<T>, MergeError> {
+    let plan = union_plan(&samples);
+    let workers = plan.machine_threads();
+    run_union(&plan, samples, p_bound, workers, rng)
+}
+
+/// [`merge_union`] with an explicit worker budget instead of the planner's
+/// pick — for benches, profiles and schedule-independence tests. Same
+/// plan, same engine, same result for the same caller RNG state.
 ///
 /// # Panics
 /// Panics if `samples` is empty or `threads` is zero.
@@ -965,68 +690,8 @@ pub fn merge_tree_parallel<T: SampleValue, R: Rng + ?Sized>(
     threads: usize,
     rng: &mut R,
 ) -> Result<Sample<T>, MergeError> {
-    assert!(
-        !samples.is_empty(),
-        "merge_tree_parallel needs at least one sample"
-    );
-    assert!(threads > 0, "merge_tree_parallel needs at least one thread");
-    let shapes: Vec<NodeShape> = samples.iter().map(NodeShape::of).collect();
-    let n_f = samples.first().map(|s| s.policy().n_f()).unwrap_or(0);
-    let plan = plan_union(&shapes, n_f);
-    let base = rng.random::<u64>();
-    let workers = threads.min(plan.merge_node_count().max(1));
-    let leaves: Vec<Mutex<Option<Sample<T>>>> =
-        samples.into_iter().map(|s| Mutex::new(Some(s))).collect();
-    let fetch = |input: usize| -> PlanInput<'static, T> {
-        let taken = {
-            let mut slot = leaves[input].lock().unwrap_or_else(PoisonError::into_inner);
-            slot.take()
-        };
-        match taken {
-            Some(s) => PlanInput::Owned(s),
-            None => panic!("plan leaf {input} consumed twice"),
-        }
-    };
-    execute_plan(&plan, &fetch, p_bound, workers, base)
-}
-
-/// [`merge_tree_parallel`] over borrowed partition samples: leaf-level
-/// merges go through [`merge_borrowed`] / reference subsampling (cloning
-/// only surviving elements), inner nodes own their children's results.
-/// Needs `T: Sync` because the borrowed samples are shared across the pool
-/// workers.
-///
-/// Same determinism contract as the owned variant: byte-identical run to
-/// run, across thread counts, and across steal orders for the same caller
-/// RNG state.
-///
-/// # Panics
-/// Panics if `samples` is empty or `threads` is zero.
-pub fn merge_tree_parallel_borrowed<T, R>(
-    samples: &[&Sample<T>],
-    p_bound: f64,
-    threads: usize,
-    rng: &mut R,
-) -> Result<Sample<T>, MergeError>
-where
-    T: SampleValue + Sync,
-    R: Rng + ?Sized,
-{
-    assert!(
-        !samples.is_empty(),
-        "merge_tree_parallel_borrowed needs at least one sample"
-    );
-    assert!(
-        threads > 0,
-        "merge_tree_parallel_borrowed needs at least one thread"
-    );
-    let shapes: Vec<NodeShape> = samples.iter().map(|s| NodeShape::of(s)).collect();
-    let n_f = samples.first().map(|s| s.policy().n_f()).unwrap_or(0);
-    let plan = plan_union(&shapes, n_f);
-    let base = rng.random::<u64>();
-    let workers = threads.min(plan.merge_node_count().max(1));
-    let fetch = |input: usize| PlanInput::Borrowed(samples[input]);
-    execute_plan(&plan, &fetch, p_bound, workers, base)
+    let plan = union_plan(&samples);
+    run_union(&plan, samples, p_bound, threads, rng)
 }
 
 /// Direct `m`-way generalization of `HRMerge` (Fig. 8 / Theorem 1): the
@@ -1044,32 +709,63 @@ where
 /// # Panics
 /// Panics if `samples` is empty.
 pub fn hr_merge_multiway<T: SampleValue, R: Rng + ?Sized>(
-    samples: Vec<Sample<T>>,
+    mut samples: Vec<Sample<T>>,
     rng: &mut R,
 ) -> Result<Sample<T>, MergeError> {
-    assert!(
-        !samples.is_empty(),
-        "hr_merge_multiway needs at least one sample"
-    );
-    hr_merge_multiway_inputs(samples.into_iter().map(PlanInput::Owned).collect(), rng)
-}
-
-/// [`hr_merge_multiway`] over borrowed partition samples: each input only
-/// clones the share of its elements that survives into the merged sample.
-///
-/// # Panics
-/// Panics if `samples` is empty.
-pub fn hr_merge_multiway_borrowed<T: SampleValue, R: Rng + ?Sized>(
-    samples: &[&Sample<T>],
-    rng: &mut R,
-) -> Result<Sample<T>, MergeError> {
-    assert!(
-        !samples.is_empty(),
-        "hr_merge_multiway_borrowed needs at least one sample"
-    );
-    hr_merge_multiway_inputs(
-        samples.iter().map(|s| PlanInput::Borrowed(s)).collect(),
-        rng,
+    let Some(first) = samples.first() else {
+        panic!("hr_merge_multiway needs at least one sample");
+    };
+    let policy = first.policy();
+    if samples.iter().any(|s| s.policy() != policy) {
+        return Err(MergeError::PolicyMismatch);
+    }
+    if samples
+        .iter()
+        .any(|s| matches!(s.kind(), SampleKind::Concise { .. }))
+    {
+        return Err(MergeError::ConciseNotMergeable);
+    }
+    if samples.len() == 1 {
+        let Some(only) = samples.pop() else {
+            panic!("a one-element vector pops an element");
+        };
+        return Ok(only);
+    }
+    let total_in: u64 = samples.iter().map(Sample::size).sum();
+    let _prof = merge_profile_scope(SampleKind::Reservoir, SampleKind::Reservoir, total_in);
+    // Drop empty partitions (they contribute nothing, and zero-size
+    // samples of non-empty parents would needlessly force k = 0).
+    samples.retain(|s| s.parent_size() > 0);
+    if samples.is_empty() {
+        return Ok(Sample::from_parts(
+            CompactHistogram::new(),
+            SampleKind::Reservoir,
+            0,
+            policy,
+        ));
+    }
+    let k = samples.iter().map(Sample::size).min().unwrap_or(0);
+    let parents: Vec<u64> = samples.iter().map(Sample::parent_size).collect();
+    let total_parent: u64 = parents.iter().sum();
+    let fan_in = samples.len() as u32;
+    let shares = swh_rand::hypergeometric::sample_multivariate(rng, &parents, k);
+    let mut merged = CompactHistogram::new();
+    let mut purges = Vec::with_capacity(samples.len());
+    let mut lineages: Vec<Vec<LineageEvent>> = Vec::with_capacity(samples.len());
+    for (s, share) in samples.into_iter().zip(shares) {
+        lineages.push(s.lineage().to_vec());
+        let mut h = s.into_histogram();
+        purge_reservoir(&mut h, share, rng);
+        purges.push((PurgeKind::Reservoir, h.total()));
+        merged.join(h);
+    }
+    debug_assert_eq!(merged.total(), k);
+    let parent_lineages: Vec<&[LineageEvent]> = lineages.iter().map(Vec::as_slice).collect();
+    note_merge(fan_in, 0);
+    Ok(
+        Sample::from_parts(merged, SampleKind::Reservoir, total_parent, policy).with_lineage(
+            merged_lineage_with_purges(&parent_lineages, &purges, fan_in, 0),
+        ),
     )
 }
 
@@ -1077,7 +773,8 @@ pub fn hr_merge_multiway_borrowed<T: SampleValue, R: Rng + ?Sized>(
 /// symmetric merges of §4.2: "the alias method can be used to increase
 /// generation efficiency" when "merges are performed in a symmetric
 /// pairwise fashion", because a balanced merge tree over equal partitions
-/// reuses one hypergeometric distribution per level.
+/// reuses one hypergeometric distribution per level. Each union run by
+/// [`run_union`] shares one cache across its `CachedPair` nodes.
 #[derive(Debug, Default)]
 pub struct HypergeometricCache {
     tables: crate::fxhash::FxHashMap<(u64, u64, u64), swh_rand::alias::AliasTable>,
@@ -1109,80 +806,6 @@ impl HypergeometricCache {
             .or_insert_with(|| Hypergeometric::new(d1, d2, k).alias_table());
         table.sample(rng)
     }
-}
-
-/// `HRMerge` for two simple-random/Bernoulli samples with the split drawn
-/// through a [`HypergeometricCache`] — the fast path for symmetric merge
-/// trees. Exhaustive inputs are rejected (use [`hr_merge`], which
-/// re-streams them).
-pub fn hr_merge_cached<T: SampleValue, R: Rng + ?Sized>(
-    s1: Sample<T>,
-    s2: Sample<T>,
-    cache: &mut HypergeometricCache,
-    rng: &mut R,
-) -> Result<Sample<T>, MergeError> {
-    check_mergeable(&s1, &s2)?;
-    let policy = s1.policy();
-    let (n1, n2) = (s1.parent_size(), s2.parent_size());
-    if n1 == 0 {
-        return Ok(s2);
-    }
-    if n2 == 0 {
-        return Ok(s1);
-    }
-    let k = s1.size().min(s2.size());
-    let l = cache.split(n1, n2, k, rng);
-    invariant!(
-        l <= k.min(s1.size()),
-        "HRMerge split L = {l} exceeds min(k = {k}, |S1| = {})",
-        s1.size()
-    );
-    let lin1 = s1.lineage().to_vec();
-    let lin2 = s2.lineage().to_vec();
-    let mut h1 = s1.into_histogram();
-    let mut h2 = s2.into_histogram();
-    purge_reservoir(&mut h1, l, rng);
-    purge_reservoir(&mut h2, k - l, rng);
-    let purges = [
-        (PurgeKind::Reservoir, h1.total()),
-        (PurgeKind::Reservoir, h2.total()),
-    ];
-    h1.join(h2);
-    note_merge(2, l);
-    crate::audit::global().note_split(n1, n2, k, l);
-    Ok(
-        Sample::from_parts(h1, SampleKind::Reservoir, n1 + n2, policy)
-            .with_lineage(merged_lineage_with_purges(&[&lin1, &lin2], &purges, 2, l)),
-    )
-}
-
-/// Balanced merge tree over simple random samples using a shared
-/// [`HypergeometricCache`]; with `2^j` equal partitions, only `j` alias
-/// tables are ever built.
-///
-/// # Panics
-/// Panics if `samples` is empty.
-pub fn hr_merge_tree_cached<T: SampleValue, R: Rng + ?Sized>(
-    mut samples: Vec<Sample<T>>,
-    cache: &mut HypergeometricCache,
-    rng: &mut R,
-) -> Result<Sample<T>, MergeError> {
-    assert!(!samples.is_empty(), "merge tree needs at least one sample");
-    while samples.len() > 1 {
-        let mut next = Vec::with_capacity(samples.len().div_ceil(2));
-        let mut iter = samples.into_iter();
-        while let Some(a) = iter.next() {
-            match iter.next() {
-                Some(b) => next.push(hr_merge_cached(a, b, cache, rng)?),
-                None => next.push(a),
-            }
-        }
-        samples = next;
-    }
-    let Some(result) = samples.pop() else {
-        panic!("merge tree halving keeps the worklist non-empty");
-    };
-    Ok(result)
 }
 
 #[cfg(test)]
@@ -1455,15 +1078,6 @@ mod tests {
         assert_eq!(serial, run(1), "identical seeds must reproduce the sample");
         assert_eq!(serial.parent_size(), 16_000);
         assert_eq!(serial.size(), 64);
-
-        let refs: Vec<&Sample<u64>> = parts.iter().collect();
-        let run_borrowed = |threads: usize| {
-            let mut rng = seeded_rng(78);
-            merge_tree_parallel_borrowed(&refs, 1e-3, threads, &mut rng).unwrap()
-        };
-        let b = run_borrowed(1);
-        assert_eq!(b, run_borrowed(8), "borrowed tree depends on thread count");
-        assert_eq!(b.parent_size(), 16_000);
     }
 
     #[test]
@@ -1473,7 +1087,7 @@ mod tests {
             .map(|p| reservoir_sample(p * 100..(p + 1) * 100, 16, &mut rng))
             .collect();
         let one = merge_tree_parallel(parts[..1].to_vec(), 1e-3, 4, &mut rng).unwrap();
-        assert_eq!(one.parent_size(), 100);
+        assert_eq!(one, parts[0], "a one-sample union is that sample");
         let odd = merge_tree_parallel(parts, 1e-3, 4, &mut rng).unwrap();
         assert_eq!(odd.parent_size(), 500);
         assert_eq!(odd.size(), 16);
@@ -1624,28 +1238,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_tree_matches_merge_all_semantics() {
-        let mut rng = seeded_rng(20);
-        let parts: Vec<Sample<u64>> = (0..16u64)
-            .map(|p| reservoir_sample(p * 1_000..(p + 1) * 1_000, 64, &mut rng))
-            .collect();
-        let m = merge_tree(parts, 1e-3, &mut rng).unwrap();
-        assert_eq!(m.parent_size(), 16_000);
-        assert_eq!(m.size(), 64);
-        assert_eq!(m.kind(), SampleKind::Reservoir);
-    }
-
-    #[test]
-    fn merge_tree_odd_count() {
-        let mut rng = seeded_rng(21);
-        let parts: Vec<Sample<u64>> = (0..7u64)
-            .map(|p| reservoir_sample(p * 500..(p + 1) * 500, 32, &mut rng))
-            .collect();
-        let m = merge_tree(parts, 1e-3, &mut rng).unwrap();
-        assert_eq!(m.parent_size(), 3_500);
-    }
-
-    #[test]
     fn multiway_merge_size_and_domain() {
         let mut rng = seeded_rng(22);
         let parts: Vec<Sample<u64>> = (0..8u64)
@@ -1693,32 +1285,51 @@ mod tests {
     }
 
     #[test]
-    fn cached_merge_tree_reuses_tables_and_is_uniform() {
+    fn cached_pair_union_is_uniform() {
+        // Two equal-size reservoirs plan to one alias-cached pair (§4.2);
+        // the engine's cached split must keep the union uniform.
         let mut rng = seeded_rng(25);
-        // 8 equal partitions -> balanced tree has 3 levels -> exactly 3
-        // distinct (d1, d2, k) triples.
+        let plan = union_plan(&[
+            reservoir_sample(0..40, 4, &mut rng),
+            reservoir_sample(40..80, 4, &mut rng),
+        ]);
+        assert!(matches!(
+            plan.nodes[plan.root].op,
+            PlanOp::CachedPair { .. }
+        ));
         let trials = 15_000usize;
         let mut incl = vec![0u64; 80];
-        let mut cache = HypergeometricCache::new();
         for _ in 0..trials {
-            let parts: Vec<Sample<u64>> = (0..8u64)
-                .map(|p| reservoir_sample(p * 10..(p + 1) * 10, 4, &mut rng))
-                .collect();
-            let m = hr_merge_tree_cached(parts, &mut cache, &mut rng).unwrap();
+            let parts = vec![
+                reservoir_sample(0..40, 4, &mut rng),
+                reservoir_sample(40..80, 4, &mut rng),
+            ];
+            let m = merge_union(parts, 1e-3, &mut rng).unwrap();
             assert_eq!(m.size(), 4);
             for (v, _) in m.histogram().iter() {
                 incl[*v as usize] += 1;
             }
         }
-        assert_eq!(cache.len(), 3, "one alias table per tree level");
         let expect = trials as f64 * 4.0 / 80.0;
         let exp = vec![expect; 80];
         let stat = chi_square_statistic(&incl, &exp);
         let pv = chi_square_p_value(stat, 79.0);
         assert!(
             pv > 1e-4,
-            "cached tree not uniform: chi2={stat:.1} p={pv:.2e}"
+            "cached pair not uniform: chi2={stat:.1} p={pv:.2e}"
         );
+    }
+
+    #[test]
+    fn hypergeometric_cache_builds_one_table_per_key() {
+        let mut rng = seeded_rng(26);
+        let mut cache = HypergeometricCache::new();
+        assert!(cache.is_empty());
+        for _ in 0..10 {
+            assert!(cache.split(1_000, 1_000, 16, &mut rng) <= 16);
+            assert!(cache.split(2_000, 2_000, 16, &mut rng) <= 16);
+        }
+        assert_eq!(cache.len(), 2, "one alias table per (d1, d2, k)");
     }
 
     #[test]
@@ -1734,92 +1345,6 @@ mod tests {
         assert_eq!(
             hr_merge_multiway(vec![c, s], &mut rng).unwrap_err(),
             MergeError::ConciseNotMergeable
-        );
-    }
-
-    #[test]
-    fn merge_borrowed_matches_owned_shapes() {
-        // Same provenance combinations as the owned dispatcher; assert the
-        // structural contract (size, parent, kind family, bounds).
-        let mut rng = seeded_rng(40);
-        // SRS × SRS.
-        let s1 = reservoir_sample(0..10_000, 64, &mut rng);
-        let s2 = reservoir_sample(10_000..50_000, 64, &mut rng);
-        let m = merge_borrowed(s1, &s2, 1e-3, &mut rng).unwrap();
-        assert_eq!(m.size(), 64);
-        assert_eq!(m.parent_size(), 50_000);
-        assert_eq!(m.kind(), SampleKind::Reservoir);
-        // Borrowed exhaustive side re-streams: result as big as the union
-        // allows, and an exhaustive pair stays exhaustive.
-        let e1 = reservoir_sample(0..20, 64, &mut rng);
-        let e2 = reservoir_sample(20..40, 64, &mut rng);
-        assert_eq!(e1.kind(), SampleKind::Exhaustive);
-        let m = merge_borrowed(e1, &e2, 1e-3, &mut rng).unwrap();
-        assert_eq!(m.kind(), SampleKind::Exhaustive);
-        assert_eq!(m.size(), 40);
-        // Reservoir acc × exhaustive s re-streams into HR.
-        let r = reservoir_sample(0..10_000, 64, &mut rng);
-        let e = reservoir_sample(10_000..10_020, 64, &mut rng);
-        let m = merge_borrowed(r, &e, 1e-3, &mut rng).unwrap();
-        assert_eq!(m.size(), 64);
-        assert_eq!(m.parent_size(), 10_020);
-        // Bernoulli acc × exhaustive s resumes HB.
-        let b = bernoulli_sample(0..60_000, 128, 1e-3, &mut rng);
-        assert!(matches!(b.kind(), SampleKind::Bernoulli { .. }));
-        let e = reservoir_sample(60_000..60_020, 128, &mut rng);
-        let m = merge_borrowed(b, &e, 1e-3, &mut rng).unwrap();
-        assert!(m.size() <= 128);
-        assert_eq!(m.parent_size(), 60_020);
-        // Bernoulli × Bernoulli equalizes rates.
-        let b1 = bernoulli_sample(0..60_000, 128, 1e-3, &mut rng);
-        let b2 = bernoulli_sample(60_000..120_000, 128, 1e-3, &mut rng);
-        let m = merge_borrowed(b1, &b2, 1e-3, &mut rng).unwrap();
-        assert!(m.size() <= 128);
-        assert_eq!(m.parent_size(), 120_000);
-        // Policy mismatch still rejected.
-        let a = reservoir_sample(0..100, 8, &mut rng);
-        let b = reservoir_sample(100..200, 16, &mut rng);
-        assert_eq!(
-            merge_borrowed(a, &b, 1e-3, &mut rng).unwrap_err(),
-            MergeError::PolicyMismatch
-        );
-    }
-
-    #[test]
-    fn merge_borrowed_leaves_input_untouched() {
-        let mut rng = seeded_rng(41);
-        let s1 = reservoir_sample(0..5_000, 32, &mut rng);
-        let s2 = reservoir_sample(5_000..9_000, 32, &mut rng);
-        let snapshot = s2.clone();
-        let _ = merge_borrowed(s1, &s2, 1e-3, &mut rng).unwrap();
-        assert_eq!(s2, snapshot, "borrowed input mutated");
-    }
-
-    #[test]
-    fn merge_all_borrowed_uniform_across_four_partitions() {
-        // Mirror of merge_all_uniform_across_four_partitions through the
-        // borrowed path: inclusion frequencies must stay uniform.
-        let mut rng = seeded_rng(42);
-        let (n_parts, per, n_f, trials) = (4u64, 25u64, 10u64, 15_000usize);
-        let n = n_parts * per;
-        let mut incl = vec![0u64; n as usize];
-        for _ in 0..trials {
-            let parts: Vec<Sample<u64>> = (0..n_parts)
-                .map(|p| reservoir_sample(p * per..(p + 1) * per, n_f, &mut rng))
-                .collect();
-            let m = merge_all_borrowed(parts.iter(), 1e-3, &mut rng).unwrap();
-            assert_eq!(m.size(), n_f);
-            for (v, _) in m.histogram().iter() {
-                incl[*v as usize] += 1;
-            }
-        }
-        let expect = trials as f64 * n_f as f64 / n as f64;
-        let exp: Vec<f64> = vec![expect; n as usize];
-        let stat = chi_square_statistic(&incl, &exp);
-        let pv = chi_square_p_value(stat, (n - 1) as f64);
-        assert!(
-            pv > 1e-4,
-            "borrowed merge not uniform: chi2={stat:.1} p={pv:.2e}"
         );
     }
 

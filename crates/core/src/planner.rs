@@ -6,37 +6,29 @@
 //! one side element by element, Fig. 6 line 3) sit next to bounded samples
 //! (whose merge cost is ~`n_F`). Since a merge of two exhaustive samples
 //! streams the smaller one, the cheapest order for the exhaustive group is
-//! a **descending-size fold**: build the accumulator from the biggest
-//! sample so every other exhaustive sample is streamed exactly once, when
-//! it is the smaller side. Arrival-order folds can instead stream large
-//! accumulated histograms over and over.
+//! a **descending-size chain**: start from the biggest sample so every
+//! other exhaustive sample is streamed exactly once, when it is the smaller
+//! side. Arrival-order folds can instead stream large accumulated
+//! histograms over and over.
 //!
-//! [`merge_planned`] executes: descending fold over the exhaustive group,
-//! balanced tree over the bounded group, one final combining merge.
-//! [`fold_cost`] / [`planned_cost`] expose the cost model (elements
-//! touched) so tests can verify the plan never loses to the arrival-order
-//! fold. All orders produce the same uniform distribution — planning only
-//! changes the work, never the statistics.
-//!
-//! [`plan_union`] generalizes the same grouping into an explicit merge
+//! [`plan_union`] compiles a union's input shapes into an explicit merge
 //! **DAG** ([`MergePlan`]) that the work-stealing executor
-//! ([`crate::executor`]) runs: equal-size simple-random siblings become
-//! alias-cached symmetric merges (§4.2), runs of distinct-size bounded
-//! samples become multiway hypergeometric nodes
-//! ([`crate::merge::hr_merge_multiway`]), and exhaustive samples keep the
-//! descending re-stream chain. Plans carry per-node costs so
-//! [`MergePlan::best_threads`] can pick a worker count from the *measured*
-//! cost model ([`crate::costmodel`]) when a snapshot is installed, falling
-//! back to the element-count model otherwise. The plan is a pure function
-//! of the input shapes and `n_F` — never of the cost model or thread
-//! count — so planned results stay byte-identical across machines and
-//! schedules.
+//! ([`crate::executor`]) runs through [`crate::merge::run_union`]:
+//! exhaustive samples form the descending re-stream chain, equal-size
+//! simple-random siblings become alias-cached symmetric merges (§4.2), and
+//! runs of bounded samples become multiway hypergeometric nodes
+//! ([`crate::merge::hr_merge_multiway`]). Plans carry per-node costs
+//! ([`pair_cost`], in elements touched) so [`MergePlan::best_threads`] can
+//! pick a worker count from the *measured* cost model
+//! ([`crate::costmodel`]) when a snapshot is installed, falling back to the
+//! element-count model otherwise. The plan is a pure function of the input
+//! shapes and `n_F` — never of the cost model or thread count — so planned
+//! results stay byte-identical across machines and schedules. All plans
+//! produce the same uniform distribution; planning only changes the work.
 
 use crate::costmodel::CostModel;
-use crate::merge::{merge, MergeError};
 use crate::sample::{Sample, SampleKind};
 use crate::value::SampleValue;
-use rand::Rng;
 
 /// Abstract cost of merging two samples, in "elements touched":
 /// an exhaustive–exhaustive merge streams the smaller side; a mixed merge
@@ -47,152 +39,6 @@ pub fn pair_cost(size_a: u64, exhaustive_a: bool, size_b: u64, exhaustive_b: boo
         (true, false) => size_a,
         (false, true) => size_b,
         (false, false) => size_a + size_b,
-    }
-}
-
-/// Size/provenance skeleton of a sample, for cost accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Skeleton {
-    /// Number of data elements the sample holds.
-    pub size: u64,
-    /// Whether it is an exhaustive histogram.
-    pub exhaustive: bool,
-}
-
-impl Skeleton {
-    /// Skeleton of a live sample.
-    pub fn of<T: SampleValue>(s: &Sample<T>) -> Self {
-        Self {
-            size: s.size(),
-            exhaustive: s.kind() == SampleKind::Exhaustive,
-        }
-    }
-
-    fn merged_with(self, other: Self, n_f: u64) -> Self {
-        if self.exhaustive && other.exhaustive {
-            // A join of histograms stays exhaustive until the footprint
-            // bound forces sampling (optimistic for costing purposes).
-            let total = self.size + other.size;
-            Self {
-                size: total.min(n_f.max(1)),
-                exhaustive: total <= n_f,
-            }
-        } else {
-            Self {
-                size: (self.size + other.size).min(n_f.max(1)),
-                exhaustive: false,
-            }
-        }
-    }
-}
-
-/// Cost of the naive arrival-order left fold over the given skeletons.
-pub fn fold_cost(skeletons: &[Skeleton], n_f: u64) -> u64 {
-    let mut iter = skeletons.iter().copied();
-    let Some(mut acc) = iter.next() else { return 0 };
-    let mut cost = 0u64;
-    for s in iter {
-        cost += pair_cost(acc.size, acc.exhaustive, s.size, s.exhaustive);
-        acc = acc.merged_with(s, n_f);
-    }
-    cost
-}
-
-/// Cost of the planned order: descending-size fold over the exhaustive
-/// group, balanced tree over the bounded group, one combining merge.
-pub fn planned_cost(skeletons: &[Skeleton], n_f: u64) -> u64 {
-    let mut cost = 0u64;
-    let mut exhaustive: Vec<Skeleton> =
-        skeletons.iter().copied().filter(|s| s.exhaustive).collect();
-    let bounded: Vec<Skeleton> = skeletons
-        .iter()
-        .copied()
-        .filter(|s| !s.exhaustive)
-        .collect();
-    // Descending fold: the accumulator is always the largest so far; every
-    // other exhaustive sample is the (streamed) smaller side exactly once.
-    exhaustive.sort_by_key(|s| std::cmp::Reverse(s.size));
-    let mut exhaustive_acc: Option<Skeleton> = None;
-    for s in exhaustive {
-        exhaustive_acc = Some(match exhaustive_acc {
-            None => s,
-            Some(acc) => {
-                cost += pair_cost(acc.size, acc.exhaustive, s.size, s.exhaustive);
-                acc.merged_with(s, n_f)
-            }
-        });
-    }
-    // Balanced tree over bounded samples.
-    let mut level = bounded;
-    while level.len() > 1 {
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        let mut iter = level.into_iter();
-        while let Some(a) = iter.next() {
-            match iter.next() {
-                Some(b) => {
-                    cost += pair_cost(a.size, a.exhaustive, b.size, b.exhaustive);
-                    next.push(a.merged_with(b, n_f));
-                }
-                None => next.push(a),
-            }
-        }
-        level = next;
-    }
-    match (exhaustive_acc, level.pop()) {
-        (Some(a), Some(b)) => cost + pair_cost(a.size, a.exhaustive, b.size, b.exhaustive),
-        _ => cost,
-    }
-}
-
-/// Merge any number of partition samples with the cost-aware plan.
-///
-/// # Panics
-/// Panics if `samples` is empty.
-pub fn merge_planned<T: SampleValue, R: Rng + ?Sized>(
-    samples: Vec<Sample<T>>,
-    p_bound: f64,
-    rng: &mut R,
-) -> Result<Sample<T>, MergeError> {
-    assert!(
-        !samples.is_empty(),
-        "merge_planned needs at least one sample"
-    );
-    let (mut exhaustive, bounded): (Vec<_>, Vec<_>) = samples
-        .into_iter()
-        .partition(|s| s.kind() == SampleKind::Exhaustive);
-
-    // Descending-size fold over the exhaustive group: the merge machinery
-    // streams the smaller side, so each sample is streamed exactly once.
-    exhaustive.sort_by_key(|s| std::cmp::Reverse(s.size()));
-    let mut exhaustive_iter = exhaustive.into_iter();
-    let mut exhaustive_result = exhaustive_iter.next();
-    for s in exhaustive_iter {
-        exhaustive_result = Some(match exhaustive_result.take() {
-            Some(acc) => merge(acc, s, p_bound, rng)?,
-            None => s,
-        });
-    }
-
-    // Balanced tree over bounded samples.
-    let mut level = bounded;
-    while level.len() > 1 {
-        let mut next = Vec::with_capacity(level.len().div_ceil(2));
-        let mut iter = level.into_iter();
-        while let Some(a) = iter.next() {
-            match iter.next() {
-                Some(b) => next.push(merge(a, b, p_bound, rng)?),
-                None => next.push(a),
-            }
-        }
-        level = next;
-    }
-    let bounded_result = level.pop();
-
-    match (exhaustive_result, bounded_result) {
-        (Some(a), Some(b)) => merge(b, a, p_bound, rng),
-        (Some(a), None) => Ok(a),
-        (None, Some(b)) => Ok(b),
-        (None, None) => unreachable!("input was non-empty"),
     }
 }
 
@@ -213,10 +59,9 @@ pub const WORKER_SPAWN_NS: f64 = 60_000.0;
 /// node is a serialization point).
 pub const MAX_MULTIWAY_FAN_IN: usize = 16;
 
-/// Statistical provenance class of a (planned) sample, refining
-/// [`Skeleton`]'s boolean: Bernoulli-phase hybrids merge by rate
-/// equalization, so the planner must not route them through the
-/// reservoir-only alias-cached path.
+/// Statistical provenance class of a (planned) sample: Bernoulli-phase
+/// hybrids merge by rate equalization, so the planner must not route them
+/// through the reservoir-only alias-cached path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShapeKind {
     /// Exhaustive histogram of its partition.
@@ -259,7 +104,8 @@ pub struct NodeShape {
 impl NodeShape {
     /// Shape of a live sample. Concise samples are classified as
     /// [`ShapeKind::Reservoir`] for costing; execution rejects them with
-    /// [`MergeError::ConciseNotMergeable`] just as the pairwise paths do.
+    /// [`crate::merge::MergeError::ConciseNotMergeable`] just as the
+    /// pairwise paths do.
     pub fn of<T: SampleValue>(s: &Sample<T>) -> Self {
         let kind = match s.kind() {
             SampleKind::Exhaustive => ShapeKind::Exhaustive,
@@ -415,7 +261,7 @@ pub struct MergePlan {
 ///   otherwise; a level of mutually unmergeable singles (e.g. reservoir
 ///   next to Bernoulli) merges its two smallest via the standard dispatch;
 /// - the bounded root and the exhaustive chain combine in a final `rs`
-///   pair (bounded side left, mirroring [`merge_planned`]).
+///   pair (bounded side left, so the exhaustive side is re-streamed).
 ///
 /// # Panics
 /// Panics if `shapes` is empty.
@@ -561,9 +407,8 @@ pub fn plan_union(shapes: &[NodeShape], n_f: u64) -> MergePlan {
     let bounded_root = level.pop();
 
     let root = match (chain, bounded_root) {
-        // Bounded side left, exhaustive side right: mirrors merge_planned's
-        // final `merge(bounded, exhaustive)` so the exhaustive side is the
-        // one re-streamed.
+        // Bounded side left, exhaustive side right: the final
+        // `merge(bounded, exhaustive)` re-streams the exhaustive side.
         (Some(c), Some(b)) => push_pair(&mut nodes, b, c, false, "rs", n_f),
         (Some(c), None) => c,
         (None, Some(b)) => b,
@@ -684,8 +529,8 @@ impl MergePlan {
 
     /// Worker count (1..=`budget`) minimizing predicted wall time plus
     /// per-worker spawn cost ([`WORKER_SPAWN_NS`]). Returns 1 when the
-    /// union is too small for a pool to pay off — the caller should then
-    /// take the serial path. Affects scheduling only, never results.
+    /// union is too small for a pool to pay off, so it runs inline on the
+    /// calling thread. Affects scheduling only, never results.
     pub fn best_threads(&self, budget: usize, model: Option<&CostModel>) -> usize {
         let budget = budget.max(1).min(self.merge_node_count().max(1));
         let mut best = (1usize, self.serial_cost_ns(model));
@@ -697,145 +542,19 @@ impl MergePlan {
         }
         best.0
     }
+
+    /// [`MergePlan::best_threads`] on this machine: the budget is its
+    /// available parallelism, and node costs come from the installed cost
+    /// model ([`crate::costmodel::global`]) when there is one.
+    pub fn machine_threads(&self) -> usize {
+        let budget = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        self.best_threads(budget, crate::costmodel::global().as_deref())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::footprint::FootprintPolicy;
-    use crate::hybrid_reservoir::HybridReservoir;
-    use crate::sampler::Sampler;
-    use swh_rand::seeded_rng;
-    use swh_rand::stats::{chi_square_p_value, chi_square_statistic};
-
-    fn policy(n_f: u64) -> FootprintPolicy {
-        FootprintPolicy::with_value_budget(n_f)
-    }
-
-    #[test]
-    fn planned_cost_beats_ascending_fold() {
-        // Exhaustive sizes arriving ascending: the arrival-order fold
-        // streams the (growing) accumulator at almost every step, while
-        // the descending plan streams each sample once.
-        let sk: Vec<Skeleton> = (0..16)
-            .map(|i| Skeleton {
-                size: 1u64 << i,
-                exhaustive: true,
-            })
-            .collect();
-        let n_f = 1 << 30; // stays exhaustive throughout
-        let fold = fold_cost(&sk, n_f);
-        let planned = planned_cost(&sk, n_f);
-        assert!(planned < fold, "planned {planned} !< fold {fold}");
-        // Planned = sum of all non-largest sizes (each streamed once).
-        assert_eq!(planned, (1u64 << 15) - 1);
-    }
-
-    #[test]
-    fn planned_never_materially_worse_over_random_permutations() {
-        // Realistic skeletons: bounded samples cannot exceed n_F (their
-        // size is capped by construction); exhaustive sizes are arbitrary.
-        // The plan may pay up to one extra bounded combine (≤ 2·n_F) for
-        // its group separation but must never lose more than that, and
-        // must win big when large exhaustive samples arrive early.
-        use rand::seq::SliceRandom;
-        let mut rng = seeded_rng(5);
-        for trial in 0..300 {
-            use rand::Rng as _;
-            let n = rng.random_range(2..20);
-            let n_f: u64 = rng.random_range(64..10_000);
-            let mut sk: Vec<Skeleton> = (0..n)
-                .map(|_| {
-                    if rng.random_bool(0.5) {
-                        Skeleton {
-                            size: rng.random_range(1..1_000_000),
-                            exhaustive: true,
-                        }
-                    } else {
-                        Skeleton {
-                            size: rng.random_range(1..=n_f),
-                            exhaustive: false,
-                        }
-                    }
-                })
-                .collect();
-            sk.shuffle(&mut rng);
-            let fold = fold_cost(&sk, n_f);
-            let planned = planned_cost(&sk, n_f);
-            assert!(
-                planned <= fold + 2 * n_f,
-                "trial {trial}: planned {planned} > fold {fold} + slack for {sk:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn costs_equal_for_homogeneous_bounded_samples() {
-        let sk: Vec<Skeleton> = (0..16)
-            .map(|_| Skeleton {
-                size: 512,
-                exhaustive: false,
-            })
-            .collect();
-        assert_eq!(fold_cost(&sk, 512), planned_cost(&sk, 512));
-    }
-
-    #[test]
-    fn merge_planned_matches_merge_all_semantics() {
-        let mut rng = seeded_rng(1);
-        // Mixed provenance: 2 exhaustive (few distinct values) + 6 bounded.
-        let mut samples = Vec::new();
-        for p in 0..2u64 {
-            samples.push(
-                HybridReservoir::new(policy(64))
-                    .sample_batch((0..3_000).map(move |i| p * 10 + i % 5), &mut rng),
-            );
-        }
-        for p in 0..6u64 {
-            let lo = 1_000 + p * 2_000;
-            samples.push(HybridReservoir::new(policy(64)).sample_batch(lo..lo + 2_000, &mut rng));
-        }
-        let total: u64 = samples.iter().map(Sample::parent_size).sum();
-        let m = merge_planned(samples, 1e-3, &mut rng).unwrap();
-        assert_eq!(m.parent_size(), total);
-        assert!(m.size() <= 64);
-    }
-
-    #[test]
-    fn merge_planned_is_uniform() {
-        let mut rng = seeded_rng(2);
-        let (trials, n_f) = (15_000usize, 8u64);
-        let mut incl = vec![0u64; 60];
-        for _ in 0..trials {
-            let samples = vec![
-                HybridReservoir::new(policy(n_f)).sample_batch(0..20u64, &mut rng),
-                HybridReservoir::new(policy(n_f)).sample_batch(20..40u64, &mut rng),
-                HybridReservoir::new(policy(n_f)).sample_batch(40..60u64, &mut rng),
-            ];
-            let m = merge_planned(samples, 1e-3, &mut rng).unwrap();
-            for (v, _) in m.histogram().iter() {
-                incl[*v as usize] += 1;
-            }
-        }
-        let total: u64 = incl.iter().sum();
-        let expect = total as f64 / 60.0;
-        let exp = vec![expect; 60];
-        let stat = chi_square_statistic(&incl, &exp);
-        let pv = chi_square_p_value(stat, 59.0);
-        assert!(
-            pv > 1e-4,
-            "planned merge not uniform: chi2={stat:.1} p={pv:.2e}"
-        );
-    }
-
-    #[test]
-    fn single_sample_passthrough() {
-        let mut rng = seeded_rng(3);
-        let s = HybridReservoir::new(policy(16)).sample_batch(0..100u64, &mut rng);
-        let expected = s.clone();
-        let m = merge_planned(vec![s], 1e-3, &mut rng).unwrap();
-        assert_eq!(m, expected);
-    }
 
     fn reservoir_shape(size: u64) -> NodeShape {
         NodeShape {
@@ -843,6 +562,24 @@ mod tests {
             kind: ShapeKind::Reservoir,
             source: NodeSource::Raw,
         }
+    }
+
+    #[test]
+    fn exhaustive_chain_streams_each_sample_once() {
+        // Exhaustive sizes arriving ascending: an arrival-order fold would
+        // stream the growing accumulator at almost every step, while the
+        // descending chain streams every non-largest sample exactly once.
+        let shapes: Vec<NodeShape> = (0..16)
+            .map(|i| NodeShape {
+                size: 1u64 << i,
+                kind: ShapeKind::Exhaustive,
+                source: NodeSource::Raw,
+            })
+            .collect();
+        let plan = plan_union(&shapes, 1 << 30); // stays exhaustive throughout
+        assert_eq!(plan.merge_node_count(), 15);
+        let cost: u64 = plan.nodes.iter().map(|n| n.cost).sum();
+        assert_eq!(cost, (1u64 << 15) - 1);
     }
 
     #[test]

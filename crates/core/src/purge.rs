@@ -102,91 +102,6 @@ pub fn purge_reservoir<T: SampleValue, R: Rng + ?Sized>(
     );
 }
 
-/// [`purge_reservoir`] against a borrowed histogram: take a simple random
-/// subsample of exactly `m` elements (a full clone when `|S| ≤ m`) without
-/// mutating `hist`, cloning only the values that survive. Borrow-side
-/// counterpart used by the zero-copy merge path, where the input sample is
-/// behind a shared reference.
-pub fn reservoir_subsample_ref<T: SampleValue, R: Rng + ?Sized>(
-    hist: &CompactHistogram<T>,
-    m: u64,
-    rng: &mut R,
-) -> CompactHistogram<T> {
-    if hist.total() <= m {
-        return hist.clone();
-    }
-    let mut out = CompactHistogram::new();
-    if m == 0 {
-        return out;
-    }
-    // Same algorithm as purge_reservoir (Fig. 4 + Fenwick victim lookup),
-    // streaming the borrowed pairs; values are cloned only on insert into
-    // the output below.
-    let pairs: Vec<(&T, u64)> = hist.iter().collect();
-    let mut new_counts = vec![0u64; pairs.len()];
-    let mut tree = Fenwick::new(pairs.len());
-
-    let mut skip_gen = ReservoirSkip::new(m, rng);
-    let mut j: u64 = 1;
-    let mut level: u64 = 0;
-    let mut b: u64 = 0;
-
-    for (i, (_, old_count)) in pairs.iter().enumerate() {
-        b += old_count;
-        while j <= b {
-            if level == m {
-                let target = rng.random_range(1..=m);
-                let victim = tree.find_prefix(target);
-                tree.add(victim, -1);
-                new_counts[victim] -= 1;
-                level -= 1;
-            }
-            new_counts[i] += 1;
-            tree.add(i, 1);
-            level += 1;
-            j += if level < m { 1 } else { skip_gen.skip(j, rng) };
-        }
-    }
-    debug_assert_eq!(level, m);
-
-    for ((v, _), n) in pairs.into_iter().zip(new_counts) {
-        if n > 0 {
-            out.insert_count(v.clone(), n);
-        }
-    }
-    invariant!(
-        out.total() == m,
-        "reservoir_subsample_ref produced {} elements, wanted {m}",
-        out.total()
-    );
-    out
-}
-
-/// [`purge_bernoulli`] against a borrowed histogram: take a `Bern(q)`
-/// subsample without mutating `hist`, cloning only surviving values.
-///
-/// # Panics
-/// Panics unless `0 ≤ q ≤ 1`.
-pub fn bernoulli_subsample_ref<T: SampleValue, R: Rng + ?Sized>(
-    hist: &CompactHistogram<T>,
-    q: f64,
-    rng: &mut R,
-) -> CompactHistogram<T> {
-    assert!((0.0..=1.0).contains(&q), "q must lie in [0, 1], got {q}");
-    if q == 1.0 {
-        return hist.clone();
-    }
-    let mut out = CompactHistogram::new();
-    let rate = BinomialRate::new(q);
-    for (v, c) in hist.iter() {
-        let n = rate.sample(rng, c);
-        if n > 0 {
-            out.insert_count(v.clone(), n);
-        }
-    }
-    out
-}
-
 /// Fenwick (binary indexed) tree over pair counts, supporting point update
 /// and "find smallest index with prefix sum ≥ target" in `O(log n)`.
 struct Fenwick {
@@ -389,62 +304,4 @@ mod tests {
         let freq = b_present as f64 / trials as f64;
         assert!((freq - 0.5).abs() < 0.02, "freq {freq}");
     }
-
-    #[test]
-    fn reservoir_subsample_ref_matches_purge_semantics() {
-        let mut rng = seeded_rng(17);
-        let mut h = CompactHistogram::new();
-        for v in 0..20u64 {
-            h.insert_count(v, 5);
-        }
-        for &m in &[0u64, 1, 7, 50, 99, 100, 200] {
-            let out = reservoir_subsample_ref(&h, m, &mut rng);
-            assert_eq!(out.total(), m.min(h.total()), "m={m}");
-            // Subset property: no count inflated, source untouched.
-            for (v, c) in out.iter() {
-                assert!(c <= h.count(v), "count inflated for {v:?}");
-            }
-            assert_eq!(h.total(), 100);
-        }
-    }
-
-    #[test]
-    fn reservoir_subsample_ref_is_uniform() {
-        let mut rng = seeded_rng(19);
-        let trials = 20_000usize;
-        let mut incl = [0u64; 20];
-        let h = CompactHistogram::from_bag((0..20u64).collect::<Vec<_>>());
-        for _ in 0..trials {
-            let out = reservoir_subsample_ref(&h, 10, &mut rng);
-            for (v, c) in out.iter() {
-                assert_eq!(c, 1);
-                incl[*v as usize] += 1;
-            }
-        }
-        for (v, &c) in incl.iter().enumerate() {
-            let freq = c as f64 / trials as f64;
-            assert!((freq - 0.5).abs() < 0.02, "value {v}: freq {freq}");
-        }
-    }
-
-    #[test]
-    fn bernoulli_subsample_ref_thins_at_rate_q() {
-        let mut rng = seeded_rng(23);
-        let q = 0.3;
-        let trials = 2_000;
-        let mut h = CompactHistogram::new();
-        h.insert_count(1u64, 50);
-        h.insert_count(2u64, 30);
-        h.insert_count(3u64, 20);
-        let mut kept = 0u64;
-        for _ in 0..trials {
-            kept += bernoulli_subsample_ref(&h, q, &mut rng).total();
-        }
-        let mean = kept as f64 / trials as f64;
-        assert!((mean - 30.0).abs() < 0.6, "mean {mean} vs 30");
-        // Rate 1 is a plain clone.
-        assert_eq!(bernoulli_subsample_ref(&h, 1.0, &mut rng), h);
-    }
-
-    use crate::histogram::CompactHistogram;
 }

@@ -10,34 +10,8 @@ use crate::lifecycle::{CacheKey, UnionCache};
 use std::collections::BTreeMap;
 use std::sync::{Arc, PoisonError, RwLock};
 use swh_core::merge::MergeError;
-use swh_core::planner::NodeShape;
 use swh_core::sample::Sample;
 use swh_core::value::SampleValue;
-
-/// Worker budget for one parallel union merge: the machine's available
-/// parallelism, capped by the partition count (a deeper budget is useless —
-/// the plan has at most `partitions - 1` merge nodes). Thread count never
-/// affects results, only wall-clock, so this may vary across machines.
-fn merge_threads(partitions: usize) -> usize {
-    std::thread::available_parallelism()
-        .map_or(1, std::num::NonZeroUsize::get)
-        .min(partitions)
-        .max(1)
-}
-
-/// Cost-based serial/parallel cutover for one union query: plan the merge
-/// DAG over the selected sample shapes and ask the planner how many workers
-/// pay for themselves — predicted node costs come from the measured cost
-/// model when a calibration snapshot is loaded
-/// ([`swh_core::costmodel::set_global`]), and from the element-count
-/// fallback otherwise. `1` means the serial cost-aware plan wins: either
-/// the machine has no spare parallelism or the union is too small for
-/// worker spawning to pay off (the old fixed "≥ 4 partitions go parallel"
-/// rule sent tiny unions through the parallel tree for a loss).
-fn planned_workers(shapes: &[NodeShape], n_f: u64, budget: usize) -> usize {
-    let model = swh_core::costmodel::global();
-    swh_core::planner::plan_union(shapes, n_f).best_threads(budget, model.as_deref())
-}
 
 /// A rolled-in partition sample plus bookkeeping.
 #[derive(Debug, Clone)]
@@ -88,7 +62,8 @@ impl From<MergeError> for CatalogError {
 /// Reads (selection, merging into query samples) take a shared lock;
 /// roll-in/roll-out take the exclusive lock briefly. Merging clones the
 /// selected samples out of the catalog so the lock is never held across the
-/// merge computation.
+/// merge computation; a merged-union cache hit clones nothing but the
+/// cached result.
 ///
 /// ```
 /// use swh_core::{FootprintPolicy, HybridReservoir, Sampler};
@@ -162,11 +137,11 @@ impl CatalogMetrics {
             ),
             union_serial: registry.counter(
                 "swh_catalog_union_serial_total",
-                "Union-sample queries the cost model routed to the serial plan",
+                "Union-sample queries the cost model ran inline on one worker",
             ),
             union_parallel: registry.counter(
                 "swh_catalog_union_parallel_total",
-                "Union-sample queries the cost model routed to the parallel executor",
+                "Union-sample queries the cost model ran on more than one worker",
             ),
             merge_ns: registry.histogram(
                 "swh_catalog_merge_ns",
@@ -200,9 +175,8 @@ impl<T: SampleValue> Catalog<T> {
         }
     }
 
-    /// Attach a merged-union cache: [`Catalog::union_sample`] and
-    /// [`Catalog::union_sample_borrowed`] consult it before planning a
-    /// merge, and every roll-in/roll-out (including compactions, which are
+    /// Attach a merged-union cache: [`Catalog::union_sample`] consults it
+    /// before planning a merge, and every roll-in/roll-out (including compactions, which are
     /// roll-outs plus a roll-in) invalidates the dataset's entries. Off by
     /// default — a cache is opt-in because it trades memory for repeat-
     /// union latency.
@@ -369,25 +343,23 @@ impl<T: SampleValue> Catalog<T> {
     /// partitions (the warehouse's query primitive: `S_K` for
     /// `K ⊆ {1..k}` in requirement 2 of §2).
     ///
-    /// The serial/parallel cutover is cost-based: the selection's shapes
-    /// are planned into a merge DAG ([`swh_core::planner::plan_union`])
-    /// and the planner picks the worker count whose predicted wall-clock —
-    /// critical path vs. work/`t`, plus per-worker spawn cost — beats the
-    /// serial plan. When it does, the DAG runs on the work-stealing
-    /// executor ([`swh_core::merge::merge_tree_parallel`]), whose per-node
-    /// RNG streams make the result a pure function of the selection and
-    /// the caller's RNG — never of the machine's thread count or steal
-    /// order. Otherwise the cost-aware serial plan
-    /// ([`swh_core::planner::merge_planned`]) runs, which re-streams large
-    /// exhaustive histograms as little as possible. Both produce the same
-    /// uniform distribution as a serial fold.
+    /// The selection runs through the union engine: it is planned once
+    /// into a merge DAG ([`swh_core::merge::union_plan`]), the planner
+    /// picks the worker count whose predicted wall-clock — critical path
+    /// vs. work/`t`, plus per-worker spawn cost — is lowest on this machine
+    /// ([`swh_core::planner::MergePlan::machine_threads`]), and the DAG
+    /// runs on the work-stealing executor ([`swh_core::merge::run_union`]),
+    /// inline when one worker wins. Per-node RNG streams make the result a
+    /// pure function of the selection and the caller's RNG — never of the
+    /// machine's thread count or steal order. The worker count is counted
+    /// as serial (`1`) or parallel (`> 1`).
     ///
     /// With a merged-union cache attached
     /// ([`Catalog::enable_union_cache`]), the exact selection is looked up
-    /// before planning — a hit skips the merge entirely — and the merged
-    /// result is offered back under the invalidation epoch captured while
-    /// the selection was snapshotted, so a roll-in/roll-out racing the
-    /// merge can never leave a stale entry behind.
+    /// before any sample is cloned — a hit skips the copy and the merge —
+    /// and the merged result is offered back under the invalidation epoch
+    /// captured while the selection was snapshotted, so a roll-in/roll-out
+    /// racing the merge can never leave a stale entry behind.
     pub fn union_sample<R: rand::Rng + ?Sized>(
         &self,
         dataset: DatasetId,
@@ -402,25 +374,20 @@ impl<T: SampleValue> Catalog<T> {
             let ds = map
                 .get(&dataset)
                 .ok_or(CatalogError::UnknownDataset(dataset))?;
-            let mut ids = Vec::new();
-            let mut picked = Vec::new();
-            for (id, e) in ds.iter() {
-                if select(*id) {
-                    ids.push(*id);
-                    picked.push(e.sample.clone());
-                }
-            }
-            if picked.is_empty() {
+            let picked: Vec<(&PartitionId, &PartitionEntry<T>)> =
+                ds.iter().filter(|(id, _)| select(**id)).collect();
+            let Some((_, first)) = picked.first() else {
                 return Err(CatalogError::EmptySelection);
-            }
+            };
             // Probe and epoch-capture happen under the read lock that
             // snapshotted the selection: any mutation serializes either
             // before (we see its invalidation) or after (it bumps the
-            // epoch and our insert is refused).
-            let n_f = picked.first().map_or(0, |s| s.policy().n_f());
+            // epoch and our insert is refused). Samples are cloned only
+            // on a miss.
             let (key, epoch) = match &cache {
                 Some(c) => {
-                    let key = CacheKey::new(dataset, ids, n_f, p_bound);
+                    let ids = picked.iter().map(|(id, _)| **id).collect();
+                    let key = CacheKey::new(dataset, ids, first.sample.policy().n_f(), p_bound);
                     if let Some(hit) = c.get(&key) {
                         return Ok(hit);
                     }
@@ -428,93 +395,20 @@ impl<T: SampleValue> Catalog<T> {
                 }
                 None => (None, 0),
             };
+            let picked: Vec<Sample<T>> = picked.iter().map(|(_, e)| e.sample.clone()).collect();
             (picked, key, epoch)
         };
         let _prof = swh_obs::profile::enabled()
             .then(|| swh_obs::profile::scope_rooted("catalog/union_sample"));
         let timer = swh_obs::ScopeTimer::new(&self.metrics.merge_ns);
-        let shapes: Vec<NodeShape> = picked.iter().map(NodeShape::of).collect();
-        let n_f = picked.first().map_or(0, |s| s.policy().n_f());
-        let workers = planned_workers(&shapes, n_f, merge_threads(picked.len()));
-        let merged = if workers > 1 {
+        let plan = swh_core::merge::union_plan(&picked);
+        let workers = plan.machine_threads();
+        if workers > 1 {
             self.metrics.union_parallel.inc();
-            swh_core::merge::merge_tree_parallel(picked, p_bound, workers, rng)?
         } else {
             self.metrics.union_serial.inc();
-            swh_core::planner::merge_planned(picked, p_bound, rng)?
-        };
-        timer.stop();
-        self.metrics.union_merges.inc();
-        if let (Some(c), Some(key)) = (&cache, cached_key) {
-            c.insert(key, merged.clone(), epoch);
         }
-        Ok(merged)
-    }
-
-    /// [`Catalog::union_sample`] without cloning the selected samples out
-    /// of the catalog: the merge runs by reference under the shared read
-    /// lock, cloning only the elements that survive into the result. The
-    /// tradeoff is inverted relative to `union_sample`: zero up-front
-    /// copying, but writers (roll-in/roll-out) block for the duration of
-    /// the merge — prefer it for read-mostly catalogs and frequent queries
-    /// over large samples.
-    ///
-    /// Like [`Catalog::union_sample`], the cutover is cost-based: when the
-    /// planner predicts a parallel win the DAG runs on the work-stealing
-    /// executor ([`swh_core::merge::merge_tree_parallel_borrowed`], hence
-    /// the `T: Sync` bound — pool workers share the borrowed samples);
-    /// otherwise the selection folds serially
-    /// ([`swh_core::merge::merge_all_borrowed`]).
-    pub fn union_sample_borrowed<R: rand::Rng + ?Sized>(
-        &self,
-        dataset: DatasetId,
-        mut select: impl FnMut(PartitionId) -> bool,
-        p_bound: f64,
-        rng: &mut R,
-    ) -> Result<Sample<T>, CatalogError>
-    where
-        T: Sync,
-    {
-        self.metrics.selects.inc();
-        let cache = self.union_cache();
-        let map = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-        let ds = map
-            .get(&dataset)
-            .ok_or(CatalogError::UnknownDataset(dataset))?;
-        let mut ids = Vec::new();
-        let mut picked: Vec<&Sample<T>> = Vec::new();
-        for (id, e) in ds.iter() {
-            if select(*id) {
-                ids.push(*id);
-                picked.push(&e.sample);
-            }
-        }
-        if picked.is_empty() {
-            return Err(CatalogError::EmptySelection);
-        }
-        let n_f = picked.first().map_or(0, |s| s.policy().n_f());
-        let (cached_key, epoch) = match &cache {
-            Some(c) => {
-                let key = CacheKey::new(dataset, ids, n_f, p_bound);
-                if let Some(hit) = c.get(&key) {
-                    return Ok(hit);
-                }
-                (Some(key), c.epoch(dataset))
-            }
-            None => (None, 0),
-        };
-        let _prof = swh_obs::profile::enabled()
-            .then(|| swh_obs::profile::scope_rooted("catalog/union_sample_borrowed"));
-        let timer = swh_obs::ScopeTimer::new(&self.metrics.merge_ns);
-        let shapes: Vec<NodeShape> = picked.iter().map(|s| NodeShape::of(s)).collect();
-        let workers = planned_workers(&shapes, n_f, merge_threads(picked.len()));
-        let merged = if workers > 1 {
-            self.metrics.union_parallel.inc();
-            swh_core::merge::merge_tree_parallel_borrowed(&picked, p_bound, workers, rng)?
-        } else {
-            self.metrics.union_serial.inc();
-            swh_core::merge::merge_all_borrowed(picked, p_bound, rng)?
-        };
+        let merged = swh_core::merge::run_union(&plan, picked, p_bound, workers, rng)?;
         timer.stop();
         self.metrics.union_merges.inc();
         if let (Some(c), Some(key)) = (&cache, cached_key) {
@@ -615,27 +509,6 @@ mod tests {
     }
 
     #[test]
-    fn union_sample_borrowed_matches_owned_contract() {
-        let mut rng = seeded_rng(7);
-        let cat = Catalog::new();
-        for d in 0..7u64 {
-            cat.roll_in(key(1, d), sample(d * 1000..(d + 1) * 1000, &mut rng))
-                .unwrap();
-        }
-        let weekly = cat
-            .union_sample_borrowed(DatasetId(1), |_| true, 1e-3, &mut rng)
-            .unwrap();
-        assert_eq!(weekly.parent_size(), 7000);
-        assert!(weekly.size() <= 32);
-        // The catalog's resident samples are untouched by the query.
-        assert_eq!(cat.get(key(1, 3)).unwrap().parent_size(), 1000);
-        let err = cat
-            .union_sample_borrowed(DatasetId(1), |_| false, 1e-3, &mut rng)
-            .unwrap_err();
-        assert_eq!(err, CatalogError::EmptySelection);
-    }
-
-    #[test]
     fn grid_query_selects_stream_and_seq_ranges() {
         // Fig. 1's D_{i,j} matrix: 3 streams x 8 days, values encode (i,j).
         let mut rng = seeded_rng(9);
@@ -695,14 +568,6 @@ mod tests {
         assert_eq!(a, run());
         assert_eq!(a.parent_size(), 8_000);
         assert!(a.size() <= 32);
-        let run_borrowed = || {
-            let mut rng = seeded_rng(62);
-            cat.union_sample_borrowed(DatasetId(1), |_| true, 1e-3, &mut rng)
-                .unwrap()
-        };
-        let b = run_borrowed();
-        assert_eq!(b, run_borrowed());
-        assert_eq!(b.parent_size(), 8_000);
     }
 
     #[test]
@@ -710,27 +575,72 @@ mod tests {
         // Regression test for the old fixed ">= 4 partitions go parallel"
         // rule: a union of a handful of tiny samples costs a few
         // microseconds of merge work, far below the per-worker spawn cost,
-        // so the cost-based cutover must route it through the serial
-        // `merge_planned` path regardless of how many cores the machine
-        // has. The counters in a private registry pin the routing.
+        // so the cost-based cutover must run it inline on one worker
+        // regardless of how many cores the machine has — and give exactly
+        // what the engine gives at one thread for the same RNG. The
+        // counters in a private registry pin the routing.
         let registry = swh_obs::Registry::new();
         let cat = Catalog::with_registry(&registry);
         let mut rng = seeded_rng(41);
+        let mut parts = Vec::new();
         for d in 0..6u64 {
-            cat.roll_in(key(1, d), sample(d * 100..(d + 1) * 100, &mut rng))
-                .unwrap();
+            let s = sample(d * 100..(d + 1) * 100, &mut rng);
+            parts.push(s.clone());
+            cat.roll_in(key(1, d), s).unwrap();
         }
         let s = cat
-            .union_sample(DatasetId(1), |_| true, 1e-3, &mut rng)
+            .union_sample(DatasetId(1), |_| true, 1e-3, &mut seeded_rng(42))
             .unwrap();
         assert_eq!(s.parent_size(), 600);
-        let b = cat
-            .union_sample_borrowed(DatasetId(1), |_| true, 1e-3, &mut rng)
-            .unwrap();
-        assert_eq!(b.parent_size(), 600);
-        assert_eq!(cat.metrics.union_serial.get(), 2);
+        let engine =
+            swh_core::merge::merge_tree_parallel(parts, 1e-3, 1, &mut seeded_rng(42)).unwrap();
+        assert_eq!(
+            s, engine,
+            "serial union differs from the engine at one thread"
+        );
+        assert_eq!(cat.metrics.union_serial.get(), 1);
         assert_eq!(cat.metrics.union_parallel.get(), 0);
-        assert_eq!(cat.metrics.union_merges.get(), 2);
+        assert_eq!(cat.metrics.union_merges.get(), 1);
+    }
+
+    /// Sample value whose clones are counted, to see what a query copies.
+    #[derive(Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    struct Counted(u64);
+
+    static CLONES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            CLONES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Counted(self.0)
+        }
+    }
+
+    #[test]
+    fn union_cache_hit_clones_only_the_cached_result() {
+        let cat = Catalog::with_registry(&swh_obs::Registry::new());
+        cat.enable_union_cache(Arc::new(UnionCache::with_registry(
+            &swh_obs::Registry::new(),
+            1 << 20,
+        )));
+        let mut rng = seeded_rng(78);
+        for d in 0..8u64 {
+            let s = HybridReservoir::new(FootprintPolicy::with_value_budget(32))
+                .sample_batch((d * 1000..(d + 1) * 1000).map(Counted), &mut rng);
+            cat.roll_in(key(1, d), s).unwrap();
+        }
+        let first = cat
+            .union_sample(DatasetId(1), |_| true, 1e-3, &mut rng)
+            .unwrap();
+        let before = CLONES.load(std::sync::atomic::Ordering::Relaxed);
+        let hit = cat
+            .union_sample(DatasetId(1), |_| true, 1e-3, &mut rng)
+            .unwrap();
+        let clones = CLONES.load(std::sync::atomic::Ordering::Relaxed) - before;
+        assert_eq!(hit, first);
+        // The hit copies the cached union (at most n_F = 32 values), never
+        // the eight 32-value partition samples behind it.
+        assert!(clones <= 32, "cache hit cloned {clones} values");
     }
 
     #[test]
@@ -766,9 +676,9 @@ mod tests {
             .union_sample(DatasetId(1), |_| true, 1e-3, &mut rng)
             .unwrap();
         assert_eq!(c.parent_size(), 700);
-        // The borrowed path shares the cache: same selection now hits.
+        // The same selection now hits again.
         let d = cat
-            .union_sample_borrowed(DatasetId(1), |_| true, 1e-3, &mut rng)
+            .union_sample(DatasetId(1), |_| true, 1e-3, &mut rng)
             .unwrap();
         assert_eq!(c, d);
     }

@@ -1044,12 +1044,11 @@ impl<T: ValueCodec> LifecycleManager<T> {
                 samples.iter().map(|s| s.lineage().to_vec()).collect();
             let parents: Vec<&[swh_core::lineage::LineageEvent]> =
                 lineages.iter().map(Vec::as_slice).collect();
-            let mut merged = swh_core::merge::merge_all(samples, self.p_bound, rng)
+            let mut merged = swh_core::merge::merge_union(samples, self.p_bound, rng)
                 .map_err(CatalogError::from)?;
-            // A serial fold records one Merge{fan_in: 2} per step; the
-            // roll-up is semantically one k-ary merge, and fsck checks the
-            // recorded fan-in against the tombstoned inputs — record it
-            // truthfully.
+            // The merge DAG records one Merge per plan node; the roll-up is
+            // semantically one k-ary merge, and fsck checks the recorded
+            // fan-in against the tombstoned inputs — record it truthfully.
             merged.set_lineage(merged_lineage(&parents, fan_in as u32, 0));
             if let Some(store) = &self.store {
                 let tomb = TombRecord {

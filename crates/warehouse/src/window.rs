@@ -9,7 +9,7 @@
 //! per-partition samples.
 
 use std::collections::VecDeque;
-use swh_core::merge::{merge_all, merge_all_borrowed, MergeError};
+use swh_core::merge::{merge_union, MergeError};
 use swh_core::sample::Sample;
 use swh_core::value::SampleValue;
 
@@ -89,9 +89,8 @@ impl<T: SampleValue> SlidingWindow<T> {
         rng: &mut R,
     ) -> Result<Sample<T>, MergeError> {
         assert!(!self.entries.is_empty(), "window is empty");
-        // Read-mostly path: merge the resident samples by reference so a
-        // query stops cloning all w histograms up front.
-        merge_all_borrowed(self.entries.iter().map(|(_, s)| s), p_bound, rng)
+        let samples = self.entries.iter().map(|(_, s)| s.clone()).collect();
+        merge_union(samples, p_bound, rng)
     }
 }
 
@@ -154,7 +153,7 @@ impl<T: SampleValue> TumblingWindow<T> {
             .into_iter()
             .map(|(_, s)| s)
             .collect();
-        let merged = merge_all(samples, self.p_bound, rng)?;
+        let merged = merge_union(samples, self.p_bound, rng)?;
         Ok(Some((first, last, merged)))
     }
 
@@ -171,7 +170,7 @@ impl<T: SampleValue> TumblingWindow<T> {
             .into_iter()
             .map(|(_, s)| s)
             .collect();
-        Ok(Some(merge_all(samples, self.p_bound, rng)?))
+        Ok(Some(merge_union(samples, self.p_bound, rng)?))
     }
 }
 

@@ -219,7 +219,7 @@ mod crash_matrix {
     use super::*;
     use std::path::PathBuf;
     use swh_core::lineage::last_merge_fan_in;
-    use swh_core::merge::merge_all;
+    use swh_core::merge::merge_union;
     use swh_warehouse::durable::{fault, CrashPoint};
     use swh_warehouse::lifecycle::{list_tombs, recover_store, write_tomb, TombRecord};
     use swh_warehouse::store::DiskStore;
@@ -312,7 +312,7 @@ mod crash_matrix {
             },
         )
         .unwrap();
-        let merged = merge_all(
+        let merged = merge_union(
             vec![catalog.get(key(0)).unwrap(), catalog.get(key(1)).unwrap()],
             1e-3,
             &mut rng,

@@ -1,15 +1,16 @@
-//! Tour of the merge operators: serial fold (the paper's setup), balanced
-//! tree, alias-cached symmetric tree (§4.2), direct multiway merge
-//! (Theorem 1 generalized), and the cost-aware planner — all producing
-//! uniform samples of the same union.
+//! Tour of the merge operators: serial fold (the paper's setup), direct
+//! multiway merge (Theorem 1 generalized), and the union engine — one
+//! planned merge DAG with alias-cached symmetric splits (§4.2) and multiway
+//! nodes, run inline and on every host thread — all producing uniform
+//! samples of the same union.
 //!
 //! ```sh
 //! cargo run --release --example merge_strategies
 //! ```
 
 use sample_warehouse::sampling::{
-    hr_merge_multiway, hr_merge_tree_cached, merge_all, merge_planned, merge_tree, FootprintPolicy,
-    HybridReservoir, HypergeometricCache, Sample, Sampler,
+    hr_merge_multiway, merge_all, merge_tree_parallel, merge_union, FootprintPolicy,
+    HybridReservoir, Sample, Sampler,
 };
 use sample_warehouse::variates::seeded_rng;
 use std::time::Instant;
@@ -30,33 +31,32 @@ fn main() {
         "strategy", "time", "sample size", "covers"
     );
 
-    let mut cache = HypergeometricCache::new();
-    type Runner<'a> =
-        Box<dyn FnMut(Vec<Sample<u64>>, &mut rand::rngs::SmallRng) -> Sample<u64> + 'a>;
+    let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    type Runner = Box<dyn Fn(Vec<Sample<u64>>, &mut rand::rngs::SmallRng) -> Sample<u64>>;
     let strategies: Vec<(&str, Runner)> = vec![
         (
             "serial fold (paper)",
             Box::new(|s, rng| merge_all(s, 1e-3, rng).unwrap()),
         ),
         (
-            "balanced tree",
-            Box::new(|s, rng| merge_tree(s, 1e-3, rng).unwrap()),
-        ),
-        (
-            "cached symmetric tree",
-            Box::new(|s, rng| hr_merge_tree_cached(s, &mut cache, rng).unwrap()),
-        ),
-        (
             "direct multiway",
             Box::new(|s, rng| hr_merge_multiway(s, rng).unwrap()),
         ),
         (
-            "cost-aware plan",
-            Box::new(|s, rng| merge_planned(s, 1e-3, rng).unwrap()),
+            "union engine, 1 thread",
+            Box::new(|s, rng| merge_tree_parallel(s, 1e-3, 1, rng).unwrap()),
+        ),
+        (
+            "union engine, all threads",
+            Box::new(move |s, rng| merge_tree_parallel(s, 1e-3, threads, rng).unwrap()),
+        ),
+        (
+            "union engine, planned",
+            Box::new(|s, rng| merge_union(s, 1e-3, rng).unwrap()),
         ),
     ];
 
-    for (name, mut run) in strategies {
+    for (name, run) in strategies {
         let samples = partitions(parts, per, n_f, &mut rng);
         let start = Instant::now();
         let merged = run(samples, &mut rng);
@@ -71,7 +71,6 @@ fn main() {
     }
     println!(
         "\nAll strategies yield a statistically identical uniform sample of the union;\n\
-         they differ only in cost (and the alias cache now holds {} table(s)).",
-        cache.len()
+         they differ only in cost."
     );
 }
