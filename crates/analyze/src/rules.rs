@@ -333,6 +333,11 @@ pub fn parse_directives(comments: &[LineComment]) -> Directives {
     out
 }
 
+/// Why a clock read is banned in a sampling path, and where timing goes
+/// instead: the one clock read lives in `swh-obs`, outside these files.
+const WALL_CLOCK: &str = "wall-clock time in a sampling path; time a region with \
+     swh_obs::profile::Scope, a raw duration with swh_obs::Stopwatch";
+
 /// Identifiers that are non-deterministic entropy or clock sources.
 const ENTROPY_IDENTS: &[(&str, &str)] = &[
     (
@@ -355,18 +360,9 @@ const ENTROPY_IDENTS: &[(&str, &str)] = &[
         "getrandom",
         "OS entropy breaks reproducibility; use swh_rand::seeded_rng",
     ),
-    (
-        "Instant",
-        "wall-clock time in a sampling path; route timing through swh_obs::Stopwatch",
-    ),
-    (
-        "SystemTime",
-        "wall-clock time in a sampling path; route timing through swh_obs::Stopwatch",
-    ),
-    (
-        "UNIX_EPOCH",
-        "wall-clock time in a sampling path; route timing through swh_obs::Stopwatch",
-    ),
+    ("Instant", WALL_CLOCK),
+    ("SystemTime", WALL_CLOCK),
+    ("UNIX_EPOCH", WALL_CLOCK),
     (
         "RandomState",
         "default SipHash state is randomly keyed; use FxHashMap/BTreeMap",
@@ -424,8 +420,7 @@ pub fn scan(path: &str, tokens: &[Token], mask: &[bool]) -> Vec<Finding> {
                     push(
                         t.line,
                         Rule::Determinism,
-                        "`std::time` in a sampling path; route timing through swh_obs::Stopwatch"
-                            .to_string(),
+                        format!("`std::time`: {WALL_CLOCK}"),
                     );
                 }
                 // Default-hasher constructors: HashMap::new / with_capacity /

@@ -369,11 +369,9 @@ fn merged_sample(
         "partition samples fed into CLI merges",
     )
     .add(samples.len() as u64);
-    let timer =
-        swh_obs::ScopeTimer::new(&g.histogram("swh_cli_merge_ns", "wall time of CLI merges"));
-    let merged = merge_union(samples, p_bound, rng)?;
-    timer.stop();
-    Ok(merged)
+    let _scope = swh_obs::profile::scope_rooted("cli/merge")
+        .histogram(&g.histogram("swh_cli_merge_ns", "wall time of CLI merges"));
+    Ok(merge_union(samples, p_bound, rng)?)
 }
 
 fn query(args: &Args, out: &mut dyn Write) -> CmdResult {

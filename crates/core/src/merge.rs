@@ -38,7 +38,7 @@ use crate::value::SampleValue;
 use rand::Rng;
 use std::sync::{Mutex, OnceLock, PoisonError};
 use swh_obs::journal::EventKind;
-use swh_obs::trace::{Op, Span};
+use swh_obs::trace::Op;
 use swh_obs::{profile, Gauge};
 use swh_rand::checked::index_u64;
 use swh_rand::hypergeometric::Hypergeometric;
@@ -47,9 +47,7 @@ use swh_rand::skip::ReservoirSkip;
 
 /// Record one completed merge in the journal under its own span.
 fn note_merge(fan_in: u32, split_l: u64) {
-    let span = Span::root(Op::Merge);
-    span.event(EventKind::Merge, fan_in as u64, split_l);
-    span.end();
+    swh_obs::journal::record_span_event(Op::Merge, EventKind::Merge, fan_in as u64, split_l);
 }
 
 /// Cumulative nanoseconds pool workers of the DAG executor spent *idle*
@@ -101,20 +99,12 @@ fn merge_scope_paths() -> &'static [String] {
 
 /// Profile scope for one pairwise merge, tagged with the rule and the
 /// log-2 bucket of the combined input size — the raw material for
-/// [`crate::costmodel::CostModel::fit`]. `None` when profiling is off, so
-/// the disabled cost is one relaxed load. The path is looked up in a
+/// [`crate::costmodel::CostModel::fit`]. The path is looked up in a
 /// pre-rendered table, never formatted here.
 // swh-analyze: hot
-fn merge_profile_scope(
-    k1: SampleKind,
-    k2: SampleKind,
-    in_size: u64,
-) -> Option<profile::ProfileScope> {
-    if !profile::enabled() {
-        return None;
-    }
+fn merge_profile_scope(k1: SampleKind, k2: SampleKind, in_size: u64) -> profile::Scope {
     let idx = merge_kind_index(k1, k2) * MERGE_BUCKETS + profile::size_bucket(in_size) as usize;
-    Some(profile::scope_rooted(&merge_scope_paths()[idx]))
+    profile::scope_rooted(&merge_scope_paths()[idx])
 }
 
 /// Why two samples could not be merged.
@@ -547,11 +537,7 @@ fn exec_plan_node<T: SampleValue>(
     base: u64,
 ) -> Result<Sample<T>, MergeError> {
     let node = &plan.nodes[idx];
-    let _node_scope = if profile::enabled() {
-        Some(profile::scope_rooted(&node.label))
-    } else {
-        None
-    };
+    let _node_scope = profile::scope_rooted(&node.label);
     let mut rng = plan_node_rng(base, idx);
     let mut inputs = gather_inputs(plan, &plan.children(idx), taken, fetch_leaf);
     match &node.op {

@@ -21,6 +21,7 @@
 // fence in the same function).
 // swh-analyze: protocol(seqlock)
 
+use crate::trace::{Op, OpenSpan};
 // Under `--cfg loom` the atomics come from the model checker (the workspace
 // aliases `loom` to swh-loomshim), so `tests/loom.rs` can explore every
 // bounded interleaving of `record` against `snapshot`.
@@ -348,6 +349,16 @@ pub fn journal() -> &'static Journal {
 /// Record an event in the process-wide journal (convenience wrapper).
 pub fn record(kind: EventKind, span: u64, parent: u64, a: u64, b: u64) -> u64 {
     journal().record(kind, span, parent, a, b)
+}
+
+/// Record a one-event root span in the process-wide journal: `span_start`
+/// for `op`, one `kind` event with payloads `a`/`b`, and `span_end` — the
+/// same records a [`Scope`](crate::profile::Scope) opened with
+/// `.span(op)` writes around a single `.event(kind, a, b)`.
+pub fn record_span_event(op: Op, kind: EventKind, a: u64, b: u64) {
+    let span = OpenSpan::start(op);
+    span.event(kind, a, b);
+    span.end();
 }
 
 #[cfg(test)]

@@ -19,15 +19,18 @@
 //! * [`Registry`] — a named-metric registry. [`global()`] returns the
 //!   process-wide instance; tests construct private registries for
 //!   interference-free assertions.
-//! * [`ScopeTimer`] — a span timer recording elapsed nanoseconds into a
-//!   [`Histogram`] on drop.
+//! * [`profile::Scope`] — the one timed-region type: a single clock read
+//!   feeds the region's profile node, an optional [`Histogram`], and an
+//!   optional journal span. [`Stopwatch`] is the clock underneath, used
+//!   directly only where a raw duration is wanted rather than a region.
 //! * [`Snapshot`] — a point-in-time copy of a registry, rendered with
 //!   [`Snapshot::to_prometheus`] (text exposition) or [`Snapshot::to_json`].
 //! * [`progress!`] — verbosity-gated progress output to stderr, replacing
 //!   ad-hoc `eprintln!` in binaries so quiet runs are actually quiet.
-//! * [`Span`] / [`journal`] — span tracing and a fixed-capacity lock-free
-//!   event journal: who ingested, purged, merged, and wrote what, in a
-//!   deterministic total order (sequence numbers, no wall clock).
+//! * [`trace`] / [`journal`] — span IDs, operation codes, and a
+//!   fixed-capacity lock-free event journal: who ingested, purged, merged,
+//!   and wrote what, in a deterministic total order (sequence numbers, no
+//!   wall clock).
 //! * [`profile`] — a lock-free hierarchical wall-clock profile tree keyed
 //!   by scope path: call counts, total/self nanoseconds, and latency
 //!   histograms per node, merged across threads at snapshot time.
@@ -44,17 +47,18 @@
 //!   fires.
 //!
 //! ```
-//! use swh_obs::{Registry, ScopeTimer};
+//! use swh_obs::{profile, Registry};
 //!
 //! let registry = Registry::new();
 //! let ingested = registry.counter("ingested_total", "elements ingested");
 //! let latency = registry.histogram("batch_ns", "per-batch latency (ns)");
 //! {
-//!     let _span = ScopeTimer::new(&latency);
+//!     let _scope = profile::scope_rooted("doc/batch").histogram(&latency);
 //!     for _ in 0..1000 {
 //!         ingested.inc();
 //!     }
 //! }
+//! assert_eq!(latency.count(), 1);
 //! let snap = registry.snapshot();
 //! assert!(snap.to_prometheus().contains("ingested_total 1000"));
 //! assert!(snap.to_json().contains("\"ingested_total\""));
@@ -76,5 +80,5 @@ pub use journal::{Event, EventKind, Journal};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use progress::{set_verbosity, verbosity, write_progress};
 pub use registry::{global, MetricValue, Registry, Snapshot};
-pub use timer::{ScopeTimer, Stopwatch};
-pub use trace::{next_span_id, Op, Span, SpanId};
+pub use timer::Stopwatch;
+pub use trace::{next_span_id, Op, SpanId};

@@ -121,6 +121,31 @@ pub(crate) fn bucket_of(v: u64) -> usize {
     (64 - v.leading_zeros()) as usize
 }
 
+/// Estimated `q`-quantile of a distribution held in [`bucket_of`] buckets
+/// (≤ 2× relative error from log bucketing): the geometric middle of the
+/// bucket holding the rank, clamped by the observed maximum `max`. Shared
+/// by registry histograms and profile nodes.
+pub(crate) fn bucket_quantile(buckets: &[u64], max: u64, q: f64) -> u64 {
+    let count: u64 = buckets.iter().sum();
+    if count == 0 {
+        return 0;
+    }
+    let rank = ((count as f64) * q).ceil().max(1.0) as u64;
+    let mut seen = 0u64;
+    for (i, &c) in buckets.iter().enumerate() {
+        seen += c;
+        if seen >= rank {
+            let rep = if i == 0 {
+                0
+            } else {
+                (1u64 << (i - 1)).saturating_add(1 << i) / 2
+            };
+            return rep.min(max);
+        }
+    }
+    max
+}
+
 impl Histogram {
     /// A fresh, unregistered histogram.
     pub fn new() -> Self {
@@ -158,34 +183,13 @@ impl Histogram {
         let count: u64 = buckets.iter().sum();
         let sum = inner.sum.load(Ordering::Relaxed); // swh-analyze: allow(atomic-ordering) -- advisory snapshot; skew vs buckets is documented
         let max = inner.max.load(Ordering::Relaxed); // swh-analyze: allow(atomic-ordering) -- advisory snapshot; skew vs buckets is documented
-        let quantile = |q: f64| -> u64 {
-            if count == 0 {
-                return 0;
-            }
-            let rank = ((count as f64) * q).ceil().max(1.0) as u64;
-            let mut seen = 0u64;
-            for (i, &c) in buckets.iter().enumerate() {
-                seen += c;
-                if seen >= rank {
-                    // Representative value: geometric middle of the bucket,
-                    // clamped by the observed maximum.
-                    let rep = if i == 0 {
-                        0
-                    } else {
-                        (1u64 << (i - 1)).saturating_add(1 << i) / 2
-                    };
-                    return rep.min(max);
-                }
-            }
-            max
-        };
         HistogramSnapshot {
             count,
             sum,
             max,
-            p50: quantile(0.50),
-            p90: quantile(0.90),
-            p99: quantile(0.99),
+            p50: bucket_quantile(&buckets, max, 0.50),
+            p90: bucket_quantile(&buckets, max, 0.90),
+            p99: bucket_quantile(&buckets, max, 0.99),
         }
     }
 }

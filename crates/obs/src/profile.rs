@@ -2,13 +2,16 @@
 //! scope path.
 //!
 //! The span journal answers *what happened in which order*; this module
-//! answers *where the time went*. Code marks regions with [`scope`] (path
-//! nested under the enclosing scope), [`scope_rooted`] (absolute path), or
-//! [`record`] (a pre-measured leaf duration), and every region aggregates
-//! into a node holding call count, total and self nanoseconds, the maximum
-//! observation, and a power-of-two latency histogram. `swh profile`, the
-//! `/profile` route on `swh serve`, and [`CostModel::fit`] in `swh-core`
-//! all read the same [`snapshot`].
+//! answers *where the time went*. Code marks regions with a [`Scope`],
+//! opened by [`scope`] (path nested under the enclosing scope) or
+//! [`scope_rooted`] (absolute path), or with [`record`] (a pre-measured
+//! leaf duration), and every region aggregates into a node holding call
+//! count, total and self nanoseconds, the maximum observation, and a
+//! power-of-two latency histogram. `swh profile`, the `/profile` route on
+//! `swh serve`, and [`CostModel::fit`] in `swh-core` all read the same
+//! [`snapshot`]. The same [`Scope`] also feeds a registry histogram and a
+//! journal span when asked, so a region is timed by one clock read however
+//! many sinks it has.
 //!
 //! # Concurrency
 //!
@@ -45,8 +48,10 @@
 // file under the analyzer's atomic-ordering rule.
 // swh-analyze: protocol(seqlock)
 
-use crate::metrics::bucket_of;
+use crate::journal::EventKind;
+use crate::metrics::{bucket_of, bucket_quantile, Histogram};
 use crate::timer::Stopwatch;
+use crate::trace::{Op, OpenSpan};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 // Under `--cfg loom` the seqlock atomics come from the model checker (the
@@ -256,20 +261,45 @@ pub fn reset() {
         .clear();
 }
 
-/// An open profile scope; records into its node when dropped.
+/// A timed region, the workspace's one region type. It reads the clock
+/// once at open and once at close, and feeds the same elapsed nanoseconds
+/// to every sink it carries:
 ///
-/// Scope guards must drop in LIFO order on their thread, which the borrow
-/// rules of ordinary block-scoped guards enforce naturally.
+/// * its profile node, when profiling was enabled at open;
+/// * a registry [`Histogram`] added with [`Scope::histogram`], recorded
+///   even while profiling is off;
+/// * a journal span added with [`Scope::span`]: `span_start` at that call,
+///   events from [`Scope::event`], and `span_end` at close.
+///
+/// A scope closes when dropped or at [`Scope::end`], which also returns
+/// the elapsed nanoseconds. With profiling off and no histogram it never
+/// reads the clock. Scopes must close in LIFO order on their thread, which
+/// the borrow rules of block-scoped guards enforce.
+///
+/// ```
+/// use swh_obs::{profile, Histogram};
+///
+/// let latency = Histogram::new();
+/// let ns = profile::scope_rooted("example/region")
+///     .histogram(&latency)
+///     .end();
+/// assert_eq!(latency.sum(), ns);
+/// ```
 #[derive(Debug)]
-pub struct ProfileScope {
+pub struct Scope {
+    /// Started when the first sink that needs a duration is armed.
     sw: Option<Stopwatch>,
+    /// Whether this scope pushed a frame on its thread's profile stack.
+    framed: bool,
+    histogram: Option<Histogram>,
+    span: Option<OpenSpan>,
 }
 
 /// Open a scope named `name` nested under the enclosing scope on this
 /// thread (path `parent/name`, or `name` at the top of the stack).
-pub fn scope(name: &str) -> ProfileScope {
+pub fn scope(name: &str) -> Scope {
     if !enabled() {
-        return ProfileScope { sw: None };
+        return Scope::idle();
     }
     let parent: Option<Arc<str>> = TLS
         .try_with(|tls| tls.borrow().stack.last().map(|f| Arc::clone(&f.path)))
@@ -290,42 +320,98 @@ pub fn scope(name: &str) -> ProfileScope {
 /// node is `union/node/{pw,cp,mw,rs}{index}` whether the union ran on one
 /// thread or eight, and the merge operators it invokes record under flat
 /// `merge/{restream|hr|hb}/s{bucket}` paths regardless of plan shape.
-pub fn scope_rooted(path: &str) -> ProfileScope {
+pub fn scope_rooted(path: &str) -> Scope {
     if !enabled() {
-        return ProfileScope { sw: None };
+        return Scope::idle();
     }
     push(Arc::from(path))
 }
 
-fn push(path: Arc<str>) -> ProfileScope {
-    // `try_with` so a scope opened during thread teardown degrades to a
-    // disarmed guard instead of panicking.
-    let pushed = TLS
+fn push(path: Arc<str>) -> Scope {
+    // `try_with` so a scope opened during thread teardown degrades to an
+    // unframed scope instead of panicking.
+    let framed = TLS
         .try_with(|tls| {
             tls.borrow_mut().stack.push(Frame { path, child_ns: 0 });
         })
         .is_ok();
-    ProfileScope {
-        sw: pushed.then(Stopwatch::start),
+    Scope {
+        sw: framed.then(Stopwatch::start),
+        framed,
+        histogram: None,
+        span: None,
     }
 }
 
-impl Drop for ProfileScope {
+impl Scope {
+    fn idle() -> Self {
+        Self {
+            sw: None,
+            framed: false,
+            histogram: None,
+            span: None,
+        }
+    }
+
+    /// Also record the elapsed nanoseconds into `histogram` at close,
+    /// whether or not profiling is enabled.
+    pub fn histogram(mut self, histogram: &Histogram) -> Self {
+        self.histogram = Some(histogram.clone());
+        self.sw.get_or_insert_with(Stopwatch::start);
+        self
+    }
+
+    /// Also open a root journal span for `op`: `span_start` now,
+    /// `span_end` at close. Call at most once per scope.
+    pub fn span(mut self, op: Op) -> Self {
+        self.span = Some(OpenSpan::start(op));
+        self
+    }
+
+    /// Record a journal event inside this scope's span; a no-op on a
+    /// scope without one.
+    pub fn event(&self, kind: EventKind, a: u64, b: u64) {
+        if let Some(span) = &self.span {
+            span.event(kind, a, b);
+        }
+    }
+
+    /// Close the scope now and return the elapsed nanoseconds (zero when
+    /// neither profiling nor a histogram was armed, so the clock was never
+    /// read).
+    pub fn end(mut self) -> u64 {
+        self.close()
+    }
+
+    fn close(&mut self) -> u64 {
+        let elapsed = self.sw.take().map_or(0, |sw| sw.elapsed_ns());
+        if std::mem::take(&mut self.framed) {
+            // `try_with` so a guard dropped during thread teardown is a
+            // no-op instead of a panic in `Drop`.
+            let _ = TLS.try_with(|tls| {
+                let mut tls = tls.borrow_mut();
+                let Some(frame) = tls.stack.pop() else { return };
+                let self_ns = elapsed.saturating_sub(frame.child_ns);
+                let node = tls.resolve(&frame.path);
+                node.record(elapsed, self_ns);
+                if let Some(parent) = tls.stack.last_mut() {
+                    parent.child_ns = parent.child_ns.saturating_add(elapsed);
+                }
+            });
+        }
+        if let Some(histogram) = self.histogram.take() {
+            histogram.record(elapsed);
+        }
+        if let Some(span) = self.span.take() {
+            span.end();
+        }
+        elapsed
+    }
+}
+
+impl Drop for Scope {
     fn drop(&mut self) {
-        let Some(sw) = self.sw else { return };
-        let elapsed = sw.elapsed_ns();
-        // `try_with` so a guard dropped during thread teardown is a no-op
-        // instead of a panic in `Drop`.
-        let _ = TLS.try_with(|tls| {
-            let mut tls = tls.borrow_mut();
-            let Some(frame) = tls.stack.pop() else { return };
-            let self_ns = elapsed.saturating_sub(frame.child_ns);
-            let node = tls.resolve(&frame.path);
-            node.record(elapsed, self_ns);
-            if let Some(parent) = tls.stack.last_mut() {
-                parent.child_ns = parent.child_ns.saturating_add(elapsed);
-            }
-        });
+        self.close();
     }
 }
 
@@ -404,24 +490,7 @@ impl ProfileNode {
     /// Estimated quantile of per-call total latency (≤ 2× relative error
     /// from log bucketing), clamped by the observed maximum.
     pub fn quantile_ns(&self, q: f64) -> u64 {
-        let count: u64 = self.buckets.iter().sum();
-        if count == 0 {
-            return 0;
-        }
-        let rank = ((count as f64) * q).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                let rep = if i == 0 {
-                    0
-                } else {
-                    (1u64 << (i - 1)).saturating_add(1 << i) / 2
-                };
-                return rep.min(self.max_ns);
-            }
-        }
-        self.max_ns
+        bucket_quantile(&self.buckets, self.max_ns, q)
     }
 }
 
@@ -689,10 +758,45 @@ mod tests {
             let _s = scope("unit/disabled");
         }
         record("unit/disabled_leaf", 5);
+        // A histogram sink keeps recording while profiling is off.
+        let h = Histogram::new();
+        let ns = scope_rooted("unit/disabled_hist").histogram(&h).end();
         set_enabled(true);
         let snap = snapshot();
         assert!(snap.get("unit/disabled").is_none());
         assert!(snap.get("unit/disabled_leaf").is_none());
+        assert!(snap.get("unit/disabled_hist").is_none());
+        assert_eq!(h.count(), 1);
+        assert_eq!(h.sum(), ns);
+    }
+
+    #[test]
+    fn one_clock_read_feeds_node_histogram_and_end() {
+        let _guard = test_lock();
+        reset();
+        let h = Histogram::new();
+        let ns = scope_rooted("unit/one_clock").histogram(&h).end();
+        let snap = snapshot();
+        let node = snap.get("unit/one_clock").expect("node");
+        assert_eq!(node.count, 1);
+        assert_eq!(h.count(), 1);
+        assert_eq!(h.sum(), node.total_ns);
+        assert_eq!(node.total_ns, ns);
+    }
+
+    #[test]
+    fn span_is_recorded_once_even_after_explicit_end() {
+        let _guard = test_lock();
+        let scope = scope_rooted("unit/span").span(Op::Fsck);
+        let id = scope.span.as_ref().map(|s| s.id).expect("span open");
+        scope.end(); // the drop after an explicit end must not re-record
+        let kinds: Vec<EventKind> = crate::journal::journal()
+            .snapshot()
+            .into_iter()
+            .filter(|e| e.span == id.raw())
+            .map(|e| e.kind)
+            .collect();
+        assert_eq!(kinds, [EventKind::SpanStart, EventKind::SpanEnd]);
     }
 
     #[test]

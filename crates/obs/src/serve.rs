@@ -51,6 +51,7 @@ pub struct Server {
     lineage: Option<LineageResolver>,
     lifecycle: Option<LifecycleResolver>,
     requests: Counter,
+    errors: Counter,
 }
 
 impl std::fmt::Debug for Server {
@@ -74,6 +75,10 @@ impl Server {
                 "swh_serve_requests_total",
                 "HTTP requests answered by swh serve",
             ),
+            errors: global().counter(
+                "swh_serve_errors_total",
+                "Connections swh serve dropped on an I/O error (e.g. a peer reset)",
+            ),
         })
     }
 
@@ -95,7 +100,10 @@ impl Server {
     }
 
     /// Accept and answer requests. `max_requests` of `None` serves forever;
-    /// `Some(n)` returns after `n` requests (used by tests and CI).
+    /// `Some(n)` returns after `n` connections (used by tests and CI). A
+    /// connection that fails mid-request (a peer reset, a write to a closed
+    /// socket) is counted in `swh_serve_errors_total` and does not stop
+    /// the server; only a failing `accept` is returned.
     pub fn serve(&self, max_requests: Option<u64>) -> io::Result<()> {
         let mut served = 0u64;
         loop {
@@ -104,7 +112,10 @@ impl Server {
                     return Ok(());
                 }
             }
-            self.handle_one()?;
+            let (stream, _) = self.listener.accept()?;
+            if self.answer(stream).is_err() {
+                self.errors.inc();
+            }
             served += 1;
         }
     }
@@ -112,7 +123,11 @@ impl Server {
     /// Accept one connection, answer one request. Malformed requests get
     /// a 400 and are not an error.
     pub fn handle_one(&self) -> io::Result<()> {
-        let (mut stream, _) = self.listener.accept()?;
+        let (stream, _) = self.listener.accept()?;
+        self.answer(stream)
+    }
+
+    fn answer(&self, mut stream: TcpStream) -> io::Result<()> {
         // Bound how long a stalled client can hold the accept loop.
         // swh-analyze: allow(determinism) -- socket timeout, not entropy; no
         // time value ever reaches sampling state or the journal.
@@ -387,6 +402,25 @@ mod tests {
         let addr = spawn_server(Server::bind("127.0.0.1:0").unwrap(), 1);
         let (status, _, _) = get(addr, "/lifecycle");
         assert_eq!(status, 404);
+    }
+
+    #[test]
+    fn client_that_closes_without_reading_does_not_stop_the_server() {
+        let server = Server::bind("127.0.0.1:0").unwrap();
+        let before = server.errors.get();
+        let errors = server.errors.clone();
+        let addr = spawn_server(server, 2);
+        {
+            // No blank line ends the head, so the server only answers once
+            // it reads EOF: the close always lands before the reply, whose
+            // second write then fails on the reset socket.
+            let mut stream = TcpStream::connect(addr).unwrap();
+            write!(stream, "GET /metrics HTTP/1.1\r\n").unwrap();
+        } // closed without reading the reply
+        let (status, _, body) = get(addr, "/metrics");
+        assert_eq!(status, 200);
+        assert!(body.contains("swh_serve_errors_total"), "{body}");
+        assert!(errors.get() > before, "the reset connection was counted");
     }
 
     #[test]

@@ -1,74 +1,17 @@
-//! Span timing: record elapsed wall-clock nanoseconds into a histogram.
+//! The workspace's one clock read: a started monotonic clock that exposes
+//! only durations.
 
-use crate::metrics::Histogram;
 use std::time::Instant;
 
-/// Records the elapsed nanoseconds between construction and drop into a
-/// [`Histogram`]. The `swh` convention is that timed histograms carry an
-/// `_ns` name suffix.
-///
-/// ```
-/// use swh_obs::{Histogram, ScopeTimer};
-///
-/// let h = Histogram::new();
-/// {
-///     let _span = ScopeTimer::new(&h);
-///     // ... timed work ...
-/// }
-/// assert_eq!(h.count(), 1);
-/// ```
-#[derive(Debug)]
-pub struct ScopeTimer {
-    histogram: Histogram,
-    start: Instant,
-    armed: bool,
-}
-
-impl ScopeTimer {
-    /// Start timing into `histogram`.
-    pub fn new(histogram: &Histogram) -> Self {
-        Self {
-            histogram: histogram.clone(),
-            start: Instant::now(),
-            armed: true,
-        }
-    }
-
-    /// Stop early and record, returning the elapsed nanoseconds.
-    pub fn stop(mut self) -> u64 {
-        self.armed = false;
-        let ns = elapsed_ns(self.start);
-        self.histogram.record(ns);
-        ns
-    }
-
-    /// Abandon the span without recording anything.
-    pub fn discard(mut self) {
-        self.armed = false;
-    }
-}
-
-impl Drop for ScopeTimer {
-    fn drop(&mut self) {
-        if self.armed {
-            self.histogram.record(elapsed_ns(self.start));
-        }
-    }
-}
-
-/// Elapsed nanoseconds since `start`, saturated to `u64`.
-pub(crate) fn elapsed_ns(start: Instant) -> u64 {
-    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// A started monotonic clock, the workspace's sanctioned way to measure
-/// elapsed wall-clock time outside this crate.
+/// A started monotonic clock, the workspace's sanctioned way to measure a
+/// raw duration outside this crate. Timed *regions* use
+/// [`profile::Scope`](crate::profile::Scope), which reads this clock too.
 ///
 /// The `swh-analyze` determinism lint bans `std::time::*` inside the
 /// sampling and merge crates so that no sampling *decision* can ever depend
-/// on the clock; purge/span timing instead flows through this wrapper, which
-/// exposes only durations (never absolute time) and lives in the
-/// observability layer below the lint boundary.
+/// on the clock; purge and segment timing instead flows through this
+/// wrapper, which exposes only durations (never absolute time) and lives in
+/// the observability layer below the lint boundary.
 ///
 /// ```
 /// use swh_obs::Stopwatch;
@@ -92,37 +35,6 @@ impl Stopwatch {
 
     /// Nanoseconds elapsed since [`Stopwatch::start`], saturated to `u64`.
     pub fn elapsed_ns(&self) -> u64 {
-        elapsed_ns(self.start)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn drop_records_once() {
-        let h = Histogram::new();
-        {
-            let _a = ScopeTimer::new(&h);
-            let _b = ScopeTimer::new(&h);
-        }
-        assert_eq!(h.count(), 2);
-    }
-
-    #[test]
-    fn stop_records_and_disarms() {
-        let h = Histogram::new();
-        let t = ScopeTimer::new(&h);
-        let ns = t.stop();
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.sum(), ns);
-    }
-
-    #[test]
-    fn discard_records_nothing() {
-        let h = Histogram::new();
-        ScopeTimer::new(&h).discard();
-        assert_eq!(h.count(), 0);
+        u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 }

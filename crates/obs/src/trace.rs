@@ -1,19 +1,20 @@
-//! Span tracing: IDs, parent links, and operation codes.
+//! Span identity: IDs and operation codes.
 //!
-//! A [`Span`] names one logical operation (ingesting a partition, merging a
+//! A span names one logical operation (ingesting a partition, merging a
 //! dataset, writing a store file) so the flat event stream in the
 //! [`journal`](crate::journal) can be grouped back into trees. Spans carry
 //! no timestamps — their extent is measured in journal sequence numbers,
 //! which is deterministic under the sampling crates' determinism lint.
+//! A timed region opens one with [`Scope::span`](crate::profile::Scope::span);
+//! a single-event span is [`record_span_event`](crate::journal::record_span_event).
 //!
 //! ```
-//! use swh_obs::{Op, Span};
+//! use swh_obs::{journal, profile, EventKind, Op};
 //!
-//! let ingest = Span::root(Op::Ingest);
-//! let write = ingest.child(Op::StoreWrite);
-//! assert_eq!(write.parent(), ingest.id());
-//! drop(write); // records span_end for the child
-//! drop(ingest);
+//! let write = profile::scope_rooted("example/write").span(Op::StoreWrite);
+//! write.event(EventKind::StoreWrite, 4096, 0);
+//! drop(write); // records span_end
+//! journal::record_span_event(Op::Recovery, EventKind::StoreRecovery, 2, 0);
 //! ```
 
 use crate::journal::{journal, EventKind};
@@ -88,74 +89,33 @@ impl Op {
     }
 }
 
-/// A live span. Creating one records a `span_start` event; dropping (or
-/// explicitly [`end`](Span::end)ing) it records `span_end` whose `a`
-/// payload is the number of journal events recorded while it was open.
+/// An open root span in the process-wide journal: `span_start` is
+/// recorded at [`OpenSpan::start`], `span_end` at [`OpenSpan::end`] with
+/// an `a` payload of the number of journal events recorded while it was
+/// open. The one writer of span records, behind
+/// [`Scope::span`](crate::profile::Scope::span) and
+/// [`record_span_event`](crate::journal::record_span_event).
 #[derive(Debug)]
-pub struct Span {
-    id: SpanId,
-    parent: SpanId,
+pub(crate) struct OpenSpan {
+    pub(crate) id: SpanId,
     started_at: u64,
-    ended: bool,
 }
 
-impl Span {
-    /// Start a root span (no parent).
-    pub fn root(op: Op) -> Self {
-        Self::with_parent(op, SpanId::NONE)
-    }
-
-    /// Start a child of this span.
-    pub fn child(&self, op: Op) -> Self {
-        Self::with_parent(op, self.id)
-    }
-
-    /// Start a span under an explicit parent ID.
-    pub fn with_parent(op: Op, parent: SpanId) -> Self {
+impl OpenSpan {
+    pub(crate) fn start(op: Op) -> Self {
         let id = next_span_id();
-        let started_at = journal().record(EventKind::SpanStart, id.0, parent.0, op.code(), 0);
-        Self {
-            id,
-            parent,
-            started_at,
-            ended: false,
-        }
+        let started_at = journal().record(EventKind::SpanStart, id.0, SpanId::NONE.0, op.code(), 0);
+        Self { id, started_at }
     }
 
-    /// This span's ID, for attaching events to it.
-    pub fn id(&self) -> SpanId {
-        self.id
+    pub(crate) fn event(&self, kind: EventKind, a: u64, b: u64) {
+        journal().record(kind, self.id.0, SpanId::NONE.0, a, b);
     }
 
-    /// The parent span's ID (`SpanId::NONE` for roots).
-    pub fn parent(&self) -> SpanId {
-        self.parent
-    }
-
-    /// Record an event inside this span.
-    pub fn event(&self, kind: EventKind, a: u64, b: u64) -> u64 {
-        journal().record(kind, self.id.0, self.parent.0, a, b)
-    }
-
-    /// End the span now instead of at drop.
-    pub fn end(mut self) {
-        self.finish();
-    }
-
-    fn finish(&mut self) {
-        if self.ended {
-            return;
-        }
-        self.ended = true;
+    pub(crate) fn end(self) {
         let j = journal();
         let extent = j.recorded().saturating_sub(self.started_at);
-        j.record(EventKind::SpanEnd, self.id.0, self.parent.0, extent, 0);
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        self.finish();
+        j.record(EventKind::SpanEnd, self.id.0, SpanId::NONE.0, extent, 0);
     }
 }
 
@@ -172,40 +132,24 @@ mod tests {
     }
 
     #[test]
-    fn spans_record_start_and_end_with_parent_links() {
-        let before = journal().recorded();
-        let root = Span::root(Op::Merge);
-        let root_id = root.id();
-        let child = root.child(Op::StoreWrite);
-        assert_eq!(child.parent(), root_id);
-        child.event(EventKind::StoreWrite, 0, 0);
-        drop(child);
-        root.end();
-        let evs = journal().snapshot();
-        let mine: Vec<_> = evs.iter().filter(|e| e.seq > before).collect();
-        let starts = mine
-            .iter()
-            .filter(|e| e.kind == EventKind::SpanStart)
-            .count();
-        let ends = mine.iter().filter(|e| e.kind == EventKind::SpanEnd).count();
-        assert_eq!(starts, 2);
-        assert_eq!(ends, 2);
-        // The child's events all carry the parent link.
-        assert!(
-            mine.iter()
-                .filter(|e| e.span != root_id.0 && e.kind != EventKind::SpanStart)
-                .filter(|e| e.parent == root_id.0)
-                .count()
-                >= 2
+    fn open_span_records_start_event_end_as_a_root() {
+        let span = OpenSpan::start(Op::Merge);
+        let id = span.id;
+        span.event(EventKind::Merge, 2, 7);
+        span.end();
+        let mine: Vec<_> = journal()
+            .snapshot()
+            .into_iter()
+            .filter(|e| e.span == id.0)
+            .collect();
+        let kinds: Vec<_> = mine.iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            [EventKind::SpanStart, EventKind::Merge, EventKind::SpanEnd]
         );
-    }
-
-    #[test]
-    fn double_end_is_recorded_once() {
-        let before = journal().recorded();
-        let span = Span::root(Op::Fsck);
-        span.end(); // drop after explicit end must not re-record
-        let after = journal().recorded();
-        assert_eq!(after - before, 2, "exactly span_start + span_end");
+        assert!(mine.iter().all(|e| e.parent == SpanId::NONE.0));
+        assert_eq!(mine[0].a, Op::Merge.code());
+        assert_eq!((mine[1].a, mine[1].b), (2, 7));
+        assert!(mine[2].a >= 1, "extent counts the inner event");
     }
 }

@@ -398,9 +398,8 @@ impl<T: SampleValue> Catalog<T> {
             let picked: Vec<Sample<T>> = picked.iter().map(|(_, e)| e.sample.clone()).collect();
             (picked, key, epoch)
         };
-        let _prof = swh_obs::profile::enabled()
-            .then(|| swh_obs::profile::scope_rooted("catalog/union_sample"));
-        let timer = swh_obs::ScopeTimer::new(&self.metrics.merge_ns);
+        let scope = swh_obs::profile::scope_rooted("catalog/union_sample")
+            .histogram(&self.metrics.merge_ns);
         let plan = swh_core::merge::union_plan(&picked);
         let workers = plan.machine_threads();
         if workers > 1 {
@@ -409,7 +408,7 @@ impl<T: SampleValue> Catalog<T> {
             self.metrics.union_serial.inc();
         }
         let merged = swh_core::merge::run_union(&plan, picked, p_bound, workers, rng)?;
-        timer.stop();
+        scope.end();
         self.metrics.union_merges.inc();
         if let (Some(c), Some(key)) = (&cache, cached_key) {
             c.insert(key, merged.clone(), epoch);

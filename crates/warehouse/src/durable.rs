@@ -38,8 +38,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use swh_obs::journal::EventKind;
-use swh_obs::trace::{Op, Span};
-use swh_obs::Stopwatch;
+use swh_obs::trace::Op;
 
 /// The steps of [`atomic_write`] at which an injected fault can kill the
 /// write. Listed in execution order; `AfterDirSync` fires after the write
@@ -189,10 +188,10 @@ pub fn atomic_write(final_path: &Path, bytes: &[u8]) -> io::Result<()> {
 }
 
 fn timed_sync(f: &fs::File) -> io::Result<()> {
-    let sw = Stopwatch::start();
-    let r = f.sync_all();
     let m = metrics();
-    m.fsync_ns.record(sw.elapsed_ns());
+    let scope = swh_obs::profile::scope_rooted("warehouse/store/fsync").histogram(&m.fsync_ns);
+    let r = f.sync_all();
+    scope.end();
     m.fsync_total.inc();
     r
 }
@@ -223,9 +222,7 @@ pub fn sweep_orphan_tmp(root: &Path) -> io::Result<u64> {
 
 /// Record a recovery sweep (with how many files it removed) in the journal.
 fn note_recovery(removed: u64) {
-    let span = Span::root(Op::Recovery);
-    span.event(EventKind::StoreRecovery, removed, 0);
-    span.end();
+    swh_obs::journal::record_span_event(Op::Recovery, EventKind::StoreRecovery, removed, 0);
 }
 
 fn sweep_tree(dir: &Path) -> io::Result<u64> {

@@ -107,10 +107,9 @@ impl<T: SampleValue> IncrementalSample<T> {
         self.current = Some(match self.current.take() {
             None => delta,
             Some(base) => {
-                let timer = swh_obs::ScopeTimer::new(&self.merge_ns);
-                let merged = merge(base, delta, self.p_bound, rng)?;
-                timer.stop();
-                merged
+                let _scope = swh_obs::profile::scope_rooted("warehouse/maintenance/merge")
+                    .histogram(&self.merge_ns);
+                merge(base, delta, self.p_bound, rng)?
             }
         });
         Ok(())

@@ -17,7 +17,8 @@ use swh_core::sample::Sample;
 use swh_core::sampler::Sampler;
 use swh_core::stats::SamplerStats;
 use swh_core::value::SampleValue;
-use swh_obs::{Registry, Stopwatch};
+use swh_obs::trace::Op;
+use swh_obs::Registry;
 use swh_rand::seeded_rng;
 
 /// Workers buffer their partition streams into chunks of this size and feed
@@ -77,7 +78,7 @@ where
         // swh-analyze: allow(blocking-in-hot-path) -- empty-input early exit; Vec::new does not allocate
         return Vec::new();
     }
-    let _span = swh_obs::trace::Span::root(swh_obs::trace::Op::Ingest);
+    let _scope = swh_obs::profile::scope_rooted("warehouse/parallel_ingest").span(Op::Ingest);
     let threads = threads.min(n);
     let worker_busy = registry.histogram(
         "swh_parallel_worker_busy_ns",
@@ -115,18 +116,17 @@ where
     let make_sampler = &make_sampler;
     let slots = &slots;
     let cursor = &cursor;
+    let worker_busy = &worker_busy;
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            let worker_busy = worker_busy.clone();
             let partitions_total = partitions_total.clone();
             scope.spawn(move || {
-                // Worker-level profile scope: per-partition work nests under
-                // it (`parallel/worker/partition`), so the worker node's
-                // *self* time is exactly the claim/queue overhead — the time
-                // this worker spent not sampling.
-                let _prof = swh_obs::profile::enabled()
-                    .then(|| swh_obs::profile::scope_rooted("parallel/worker"));
-                let start = Stopwatch::start();
+                // Worker-level scope, also the worker's busy time: per-
+                // partition work nests under it (`parallel/worker/partition`),
+                // so the worker node's *self* time is exactly the claim/queue
+                // overhead — the time this worker spent not sampling.
+                let _worker =
+                    swh_obs::profile::scope_rooted("parallel/worker").histogram(worker_busy);
                 let mut drained = 0u64;
                 loop {
                     let idx = cursor.fetch_add(1, Ordering::Relaxed);
@@ -147,8 +147,7 @@ where
                         unreachable!("partition {idx} claimed twice");
                     };
                     drained += 1;
-                    let _part =
-                        swh_obs::profile::enabled().then(|| swh_obs::profile::scope("partition"));
+                    let _part = swh_obs::profile::scope("partition");
                     let mut rng = seeded_rng(seed.wrapping_add(idx as u64));
                     let mut sampler = make_sampler(idx);
                     // Buffer the stream into chunks and drain each with one
@@ -173,7 +172,6 @@ where
                         Slot::Done(sample, stats);
                 }
                 partitions_total.add(drained);
-                worker_busy.record(start.elapsed_ns());
             });
         }
     });

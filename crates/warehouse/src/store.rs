@@ -19,7 +19,7 @@ use std::path::{Path, PathBuf};
 use swh_core::lineage::LineageEvent;
 use swh_core::sample::Sample;
 use swh_obs::journal::EventKind;
-use swh_obs::trace::{Op, Span};
+use swh_obs::trace::Op;
 
 /// Errors from store operations.
 #[derive(Debug)]
@@ -107,11 +107,11 @@ impl DiskStore {
     ) -> Result<(), StoreError> {
         let dir = self.dataset_dir(key.dataset);
         fs::create_dir_all(&dir)?;
-        let span = Span::root(Op::StoreWrite);
+        let scope = swh_obs::profile::scope_rooted("warehouse/store/save").span(Op::StoreWrite);
         let bytes = encode_sample_with_events(sample, &[LineageEvent::StoreWrite]);
-        span.event(EventKind::StoreWrite, bytes.len() as u64, 0);
+        scope.event(EventKind::StoreWrite, bytes.len() as u64, 0);
         durable::atomic_write(&self.file_path(key), &bytes)?;
-        span.end();
+        scope.end();
         Ok(())
     }
 

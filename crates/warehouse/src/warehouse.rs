@@ -12,7 +12,7 @@ use swh_core::lineage;
 use swh_core::sample::Sample;
 use swh_core::sampler::Sampler;
 use swh_core::value::SampleValue;
-use swh_obs::trace::{Op, Span};
+use swh_obs::trace::Op;
 
 /// Which algorithm the warehouse runs at ingestion time.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -242,7 +242,7 @@ impl<T: ValueCodec> SampleWarehouse<T> {
         store: &DiskStore,
         dataset: DatasetId,
     ) -> Result<LoadReport, WarehouseError> {
-        let _span = Span::root(Op::Load);
+        let _scope = swh_obs::profile::scope_rooted("warehouse/load_dataset").span(Op::Load);
         let mut report = LoadReport::default();
         let mut sampled = 0u64;
         let mut parents = 0u64;
