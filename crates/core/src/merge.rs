@@ -99,10 +99,15 @@ fn merge_scope_paths() -> &'static [String] {
 
 /// Profile scope for one pairwise merge, tagged with the rule and the
 /// log-2 bucket of the combined input size — the raw material for
-/// [`crate::costmodel::CostModel::fit`]. The path is looked up in a
-/// pre-rendered table, never formatted here.
+/// [`crate::costmodel::CostModel::fit`]. Idle when profiling is off, so
+/// the disabled cost is one relaxed load and the path table is never
+/// built. The path is looked up in a pre-rendered table, never formatted
+/// here.
 // swh-analyze: hot
 fn merge_profile_scope(k1: SampleKind, k2: SampleKind, in_size: u64) -> profile::Scope {
+    if !profile::enabled() {
+        return profile::Scope::idle();
+    }
     let idx = merge_kind_index(k1, k2) * MERGE_BUCKETS + profile::size_bucket(in_size) as usize;
     profile::scope_rooted(&merge_scope_paths()[idx])
 }
