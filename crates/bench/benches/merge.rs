@@ -80,8 +80,8 @@ fn bench_merge_chain(c: &mut Criterion) {
 }
 
 /// The union engine vs. the paper's serial fold over the same partitions:
-/// one planned merge DAG (alias-cached symmetric splits, §4.2, and
-/// multiway hypergeometric nodes) run inline on one thread.
+/// one planned merge DAG (pairwise and multiway hypergeometric nodes) run
+/// inline on one thread over borrowed leaves, as the catalog lends them.
 fn bench_union_engine(c: &mut Criterion) {
     use swh_core::merge::merge_tree_parallel;
     let per = 1 << 13;
@@ -107,7 +107,8 @@ fn bench_union_engine(c: &mut Criterion) {
             |b, samples| {
                 let mut rng = seeded_rng(8);
                 b.iter(|| {
-                    let m = merge_tree_parallel(samples.clone(), 1e-3, 1, &mut rng).expect("merge");
+                    let leaves = samples.iter().map(std::borrow::Cow::Borrowed).collect();
+                    let m = merge_tree_parallel(leaves, 1e-3, 1, &mut rng).expect("merge");
                     black_box(m.size())
                 })
             },

@@ -66,11 +66,7 @@ fn bench_purge_reservoir(c: &mut Criterion) {
             &(hist, m),
             |b, (h, m)| {
                 let mut rng = seeded_rng(3);
-                b.iter(|| {
-                    let mut h = h.clone();
-                    purge_reservoir(&mut h, *m, &mut rng);
-                    black_box(h.total())
-                })
+                b.iter(|| black_box(purge_reservoir(h, *m, &mut rng).total()))
             },
         );
     }
@@ -87,11 +83,7 @@ fn bench_compact_vs_expanded(c: &mut Criterion) {
 
     group.bench_function("compact_fig4", |b| {
         let mut rng = seeded_rng(4);
-        b.iter(|| {
-            let mut h = hist.clone();
-            purge_reservoir(&mut h, m, &mut rng);
-            black_box(h.total())
-        })
+        b.iter(|| black_box(purge_reservoir(&hist, m, &mut rng).total()))
     });
     group.bench_function("expand_shuffle_rebuild", |b| {
         let mut rng = seeded_rng(5);

@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use swh_rand::binomial::binomial;
-use swh_rand::hypergeometric::Hypergeometric;
+use swh_rand::hypergeometric::{draw, sample_multivariate, Hypergeometric};
 use swh_rand::normal::normal_quantile;
 use swh_rand::seeded_rng;
 use swh_rand::zipf::Zipf;
@@ -56,6 +56,19 @@ fn bench_hypergeometric(c: &mut Criterion) {
             let h = Hypergeometric::new(d1, d2, 512);
             black_box(h.sample(&mut rng))
         })
+    });
+
+    // What every merge pays per split: the windowed single draw, against
+    // `build_pmf_k8192` + `sample_inversion` for a one-shot table.
+    group.bench_function("draw_k8192", |b| {
+        let mut rng = seeded_rng(5);
+        b.iter(|| black_box(draw(d1, d2, k, &mut rng)))
+    });
+    // A 16-way multiway node's split at the paper's n_F.
+    let groups = [1u64 << 15; 16];
+    group.bench_function("multivariate_16x_k8192", |b| {
+        let mut rng = seeded_rng(6);
+        b.iter(|| black_box(sample_multivariate(&mut rng, &groups, k)))
     });
     group.finish();
 }

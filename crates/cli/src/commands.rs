@@ -3,6 +3,7 @@
 
 use crate::args::{ArgError, Args};
 use rand::rngs::SmallRng;
+use std::borrow::Cow;
 use std::error::Error;
 use std::io::{BufRead, Write};
 use swh_aqp::profile::profile;
@@ -342,26 +343,50 @@ fn show(args: &Args, out: &mut dyn Write) -> CmdResult {
 }
 
 /// Merge the selected partitions of a dataset into one uniform sample.
+///
+/// `--from`/`--to` select by the raw sequences a partition covers under
+/// the store's saved lifecycle policy (a roll-up covers its whole window),
+/// so a range that cuts through a roll-up is refused with
+/// [`LifecycleError::MisalignedSpan`] instead of answered over the wrong
+/// rows.
 fn merged_sample(
     args: &Args,
     store: &DiskStore,
     rng: &mut SmallRng,
 ) -> Result<Sample<i64>, Box<dyn Error>> {
+    use swh_warehouse::lifecycle::{load_policies, LifecycleError};
+
     let dataset = dataset_from(args, false)?;
     let from: u64 = args.parsed_or("from", 0, "integer")?;
     let to: u64 = args.parsed_or("to", u64::MAX, "integer")?;
     let p_bound: f64 = args.parsed_or("p", 1e-3, "probability")?;
-    let keys: Vec<PartitionKey> = store
-        .list(dataset)?
-        .into_iter()
-        .filter(|k| (from..=to).contains(&k.partition.seq))
-        .collect();
+    let policy = load_policies(store.root())?
+        .get(&dataset)
+        .copied()
+        .unwrap_or_default();
+    let mut keys = Vec::new();
+    for key in store.list(dataset)? {
+        let (lo, hi) = policy.span_of(key.partition);
+        if hi < from || lo > to {
+            continue;
+        }
+        if lo < from || hi > to {
+            return Err(LifecycleError::MisalignedSpan {
+                dataset,
+                partition: key.partition,
+                lo,
+                hi,
+            }
+            .into());
+        }
+        keys.push(key);
+    }
     if keys.is_empty() {
         return Err(format!("no partitions of dataset {dataset} in range {from}..={to}").into());
     }
     let mut samples = Vec::with_capacity(keys.len());
     for key in keys {
-        samples.push(store.load::<i64>(key)?);
+        samples.push(Cow::Owned(store.load::<i64>(key)?));
     }
     let g = swh_obs::global();
     g.counter(
@@ -448,8 +473,8 @@ fn profile_cmd(args: &Args, out: &mut dyn Write) -> CmdResult {
 /// Partitions are ingested through Algorithm HB's bulk `observe_batch`
 /// path (so the observe-phase segments feed the cost model) and merged
 /// through the planner-driven merge DAG, so the reported scopes are the
-/// plan's node labels (`union/node/pw*` balanced pairs, `cp*` alias-cached
-/// pairs, `mw*f<n>` multiway fan-in, `rs*` re-stream combines) plus the
+/// plan's node labels (`union/node/pw*` pairwise merges, `mw*f<n>`
+/// multiway fan-in, `rs*` re-stream combines) plus the
 /// flat per-merge `merge/<rule>/s<bucket>` scopes that feed the cost
 /// model. Threads default to 1 so every plan node's self-time is
 /// attributed on one thread and their sum accounts for the union
@@ -485,7 +510,8 @@ fn profile_union(args: &Args, out: &mut dyn Write) -> CmdResult {
         .collect();
 
     let wall = swh_obs::Stopwatch::start();
-    let merged = swh_core::merge::merge_tree_parallel(parts, p_bound, threads, &mut rng)?;
+    let leaves = parts.into_iter().map(Cow::Owned).collect();
+    let merged = swh_core::merge::merge_tree_parallel(leaves, p_bound, threads, &mut rng)?;
     let wall_ns = wall.elapsed_ns().max(1);
     profile::set_enabled(false);
 
@@ -854,7 +880,7 @@ fn trace_cmd(args: &Args, out: &mut dyn Write) -> CmdResult {
         let second: Vec<i64> = (4096..8192).collect();
         hr.observe_batch(&second, &mut rng);
         let b = hr.finalize(&mut rng);
-        merge_union(vec![a, b], 1e-3, &mut rng)?;
+        merge_union(vec![Cow::Owned(a), Cow::Owned(b)], 1e-3, &mut rng)?;
     }
     let journal = swh_obs::journal::journal();
     write!(out, "{}", journal.dump())?;

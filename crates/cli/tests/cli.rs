@@ -1239,6 +1239,82 @@ fn lifecycle_compacts_serves_status_and_fsck_validates() {
     std::fs::remove_file(&data).ok();
 }
 
+/// `--from`/`--to` on a compacted store select by the raw span each
+/// partition covers: a range that cuts through a roll-up is refused with
+/// the misaligned-span error, and an aligned range reports exactly the
+/// rows it holds.
+#[test]
+fn lifecycle_ranges_select_by_covered_span() {
+    let store = tmp_store("ranges");
+    let store_s = store.to_str().unwrap();
+    std::fs::create_dir_all(&store).unwrap();
+    // Partition s holds 1000 * (s + 1) rows, so every range has its own
+    // row count.
+    for seq in 0..8u64 {
+        ok(&swh()
+            .args([
+                "ingest",
+                "--store",
+                store_s,
+                "--dataset",
+                "1",
+                "--partition",
+                &seq.to_string(),
+                "--nf",
+                "256",
+                "--generate",
+                &format!("unique:{}", 1000 * (seq + 1)),
+            ])
+            .output()
+            .unwrap());
+    }
+    let lifecycle = |extra: &[&str]| {
+        let mut args = vec!["lifecycle"];
+        args.extend_from_slice(extra);
+        ok(&swh().args(&args).output().unwrap())
+    };
+    lifecycle(&[
+        "policy",
+        "--store",
+        store_s,
+        "--dataset",
+        "1",
+        "--warm",
+        "2",
+        "--cold",
+        "2",
+    ]);
+    // 8 hot -> 4 warm -> 2 cold roll-ups, covering seqs 0..=3 and 4..=7.
+    let text = lifecycle(&["compact-now", "--store", store_s, "--seed", "3"]);
+    assert!(text.contains("2 cold roll-up(s)"), "{text}");
+
+    let range = |cmd: &str, from: &str, to: &str| {
+        let mut args = vec![cmd, "--store", store_s, "--dataset", "1"];
+        args.extend(["--from", from, "--to", to, "--seed", "5"]);
+        if cmd == "estimate" {
+            args.extend(["--op", "count"]);
+        }
+        swh().args(&args).output().unwrap()
+    };
+    // 2..=7 starts inside the roll-up of 0..=3: refused, not answered
+    // over the roll-up of 4..=7 alone.
+    for cmd in ["query", "estimate"] {
+        let out = range(cmd, "2", "7");
+        assert!(!out.status.success(), "{cmd} answered a cutting range");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("range crosses compacted span"), "{cmd}: {err}");
+    }
+    // Aligned ranges report their true row counts.
+    for (from, to, rows) in [("4", "7", 26_000), ("0", "7", 36_000), ("0", "3", 10_000)] {
+        let text = ok(&range("query", from, to));
+        assert!(
+            text.contains(&format!("rows covered : {rows}")),
+            "{from}..={to}: {text}"
+        );
+    }
+    std::fs::remove_dir_all(&store).ok();
+}
+
 /// A compaction that crashed before its merged output became durable leaves
 /// only a tombstone intent behind; fsck must sweep it and leave the hot
 /// inputs — still the source of truth — untouched.

@@ -118,6 +118,22 @@ impl<T: SampleValue> HybridBernoulli<T> {
     /// # Panics
     /// Panics unless `0 < p_bound < 1` and `expected_n ≥ 1`.
     pub fn with_p_bound(policy: FootprintPolicy, expected_n: u64, p_bound: f64) -> Self {
+        // Reserve the phase-1 histogram up front: distinct values never
+        // exceed the slot bound `n_F`, so the hot loop never rehashes.
+        let hist = CompactHistogram::with_slot_capacity(policy.n_f());
+        Self::with_histogram(policy, expected_n, p_bound, hist)
+    }
+
+    /// [`with_p_bound`](Self::with_p_bound) over a given starting
+    /// histogram: the reserved empty table, or a resumed prior's own
+    /// histogram, which must not pay for an `n_F`-slot table it would
+    /// discard.
+    fn with_histogram(
+        policy: FootprintPolicy,
+        expected_n: u64,
+        p_bound: f64,
+        hist: CompactHistogram<T>,
+    ) -> Self {
         let q = q_approx(expected_n, p_bound, policy.n_f());
         invariant!(
             q > 0.0 && q <= 1.0,
@@ -126,9 +142,6 @@ impl<T: SampleValue> HybridBernoulli<T> {
         );
         let span = next_span_id();
         record(EventKind::SpanStart, span.raw(), 0, Op::Ingest.code(), 0);
-        // Reserve the phase-1 histogram up front: distinct values never
-        // exceed the slot bound `n_F`, so the hot loop never rehashes.
-        let hist = CompactHistogram::with_slot_capacity(policy.n_f());
         Self {
             policy,
             expected_n,
@@ -174,8 +187,7 @@ impl<T: SampleValue> HybridBernoulli<T> {
         let hist = prior.into_histogram();
         let mut resumed = match kind {
             SampleKind::Exhaustive => {
-                let mut s = Self::with_p_bound(policy, expected_total_n, p_bound);
-                s.hist = hist;
+                let mut s = Self::with_histogram(policy, expected_total_n, p_bound, hist);
                 s.observed = parent;
                 // The prior was within bounds by construction; if it sits at
                 // the boundary the next insertion will trigger the switch.
@@ -186,7 +198,7 @@ impl<T: SampleValue> HybridBernoulli<T> {
                 p_bound: prior_p,
             } => {
                 assert!(hist.total() <= n_f, "Bernoulli prior exceeds budget");
-                let mut s = Self::with_p_bound(policy, expected_total_n, prior_p);
+                let mut s = Self::with_histogram(policy, expected_total_n, prior_p, hist);
                 // Continue at the prior's rate: the already-collected part
                 // was sampled at q and cannot be re-rated upward.
                 invariant!(
@@ -196,7 +208,6 @@ impl<T: SampleValue> HybridBernoulli<T> {
                 s.q = q;
                 s.gaps = BernoulliSkip::new(q);
                 s.advance_phase(Phase::Bernoulli);
-                s.hist = hist;
                 s.observed = parent;
                 s.skip_remaining = s.gaps.skip(rng);
                 s
@@ -204,9 +215,8 @@ impl<T: SampleValue> HybridBernoulli<T> {
             SampleKind::Reservoir => {
                 assert!(hist.total() <= n_f, "reservoir prior exceeds budget");
                 let k = hist.total();
-                let mut s = Self::with_p_bound(policy, expected_total_n, p_bound);
+                let mut s = Self::with_histogram(policy, expected_total_n, p_bound, hist);
                 s.advance_phase(Phase::Reservoir);
-                s.hist = hist;
                 s.observed = parent.max(k);
                 if k == 0 {
                     // Degenerate capacity-0 reservoir: stays empty; no
@@ -282,13 +292,17 @@ impl<T: SampleValue> HybridBernoulli<T> {
     /// Fig. 2 lines 3–10: footprint hit the bound; precompute the Bernoulli
     /// subsample `S′` and pick the next phase.
     fn leave_phase1<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        // The histogram was reserved for n_F slots at construction and
-        // distinct ≤ slots = n_F here, so it never outgrew the reservation.
+        // Phase 1 ends at the first insertion that brings the footprint to
+        // n_F and distinct ≤ slots, so a fresh sampler's histogram, reserved
+        // for n_F slots, never outgrew its reservation. A resumed prior may
+        // already sit at the bound (an exhaustive sample with footprint
+        // n_F), and then its first insertion ends phase 1 at n_F + 1.
         invariant!(
-            index_u64(self.hist.distinct()) <= self.policy.n_f(),
-            "phase-1 histogram outgrew its n_F reservation: {} distinct > {}",
+            index_u64(self.hist.distinct()) <= self.policy.n_f() + u64::from(!self.audit_fresh),
+            "phase-1 histogram outgrew its n_F reservation: {} distinct > {} (resumed: {})",
             self.hist.distinct(),
-            self.policy.n_f()
+            self.policy.n_f(),
+            !self.audit_fresh
         );
         let start = Stopwatch::start();
         purge_bernoulli(&mut self.hist, self.q, rng);
@@ -309,7 +323,9 @@ impl<T: SampleValue> HybridBernoulli<T> {
         } else {
             // Subsample too large (low probability): reservoir fallback.
             let start = Stopwatch::start();
-            purge_reservoir(&mut self.hist, self.policy.n_f(), rng);
+            if self.hist.total() > self.policy.n_f() {
+                self.hist = purge_reservoir(&self.hist, self.policy.n_f(), rng);
+            }
             self.stats.record_purge(start.elapsed_ns());
             self.stats.enter_phase3(self.observed);
             self.note_purge(PurgeKind::Reservoir, self.hist.total());

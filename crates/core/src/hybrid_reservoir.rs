@@ -84,11 +84,18 @@ pub struct HybridReservoir<T: SampleValue> {
 impl<T: SampleValue> HybridReservoir<T> {
     /// Create an HR sampler under the given footprint bound.
     pub fn new(policy: FootprintPolicy) -> Self {
-        let span = next_span_id();
-        record(EventKind::SpanStart, span.raw(), 0, Op::Ingest.code(), 0);
         // Reserve the phase-1 histogram up front: distinct values never
         // exceed the slot bound `n_F`, so the hot loop never rehashes.
-        let hist = CompactHistogram::with_slot_capacity(policy.n_f());
+        Self::with_histogram(policy, CompactHistogram::with_slot_capacity(policy.n_f()))
+    }
+
+    /// A phase-1 sampler whose exact histogram starts as `hist`: the
+    /// reserved empty table of [`new`](Self::new), or the prior's own
+    /// histogram (or an empty one) in [`resume`](Self::resume), which must
+    /// not pay for an `n_F`-slot table it would discard.
+    fn with_histogram(policy: FootprintPolicy, hist: CompactHistogram<T>) -> Self {
+        let span = next_span_id();
+        record(EventKind::SpanStart, span.raw(), 0, Op::Ingest.code(), 0);
         Self {
             policy,
             phase: Phase::Exact,
@@ -121,14 +128,13 @@ impl<T: SampleValue> HybridReservoir<T> {
         let hist = prior.into_histogram();
         let mut resumed = match kind {
             SampleKind::Exhaustive => {
-                let mut s = Self::new(policy);
-                s.hist = hist;
+                let mut s = Self::with_histogram(policy, hist);
                 s.observed = parent;
                 s
             }
             SampleKind::Reservoir => {
                 let k = hist.total();
-                let mut s = Self::new(policy);
+                let mut s = Self::with_histogram(policy, CompactHistogram::new());
                 s.phase = Phase::Reservoir;
                 // The prior is already a materialized reservoir sample:
                 // expand it now so insertions need no purge.
@@ -210,13 +216,17 @@ impl<T: SampleValue> HybridReservoir<T> {
     /// Fig. 7 lines 3–5: the footprint hit the bound — switch to reservoir
     /// mode. The purge happens lazily at the first skip-selected insertion.
     fn leave_phase1<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        // The histogram was reserved for n_F slots at construction and
-        // distinct ≤ slots = n_F here, so it never outgrew the reservation.
+        // Phase 1 ends at the first insertion that brings the footprint to
+        // n_F and distinct ≤ slots, so a fresh sampler's histogram, reserved
+        // for n_F slots, never outgrew its reservation. A resumed prior may
+        // already sit at the bound (an exhaustive sample with footprint
+        // n_F), and then its first insertion ends phase 1 at n_F + 1.
         invariant!(
-            index_u64(self.hist.distinct()) <= self.policy.n_f(),
-            "phase-1 histogram outgrew its n_F reservation: {} distinct > {}",
+            index_u64(self.hist.distinct()) <= self.policy.n_f() + u64::from(!self.audit_fresh),
+            "phase-1 histogram outgrew its n_F reservation: {} distinct > {} (resumed: {})",
             self.hist.distinct(),
-            self.policy.n_f()
+            self.policy.n_f(),
+            !self.audit_fresh
         );
         self.stats.enter_phase2(self.observed);
         self.phase = Phase::Reservoir;
@@ -232,7 +242,11 @@ impl<T: SampleValue> HybridReservoir<T> {
     fn materialize_reservoir<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         debug_assert!(!self.expanded);
         let start = Stopwatch::start();
-        purge_reservoir(&mut self.hist, self.policy.n_f(), rng);
+        // At most n_F elements (the switch fires when the footprint reaches
+        // n_F with all singletons) is already the subsample.
+        if self.hist.total() > self.policy.n_f() {
+            self.hist = purge_reservoir(&self.hist, self.policy.n_f(), rng);
+        }
         self.stats.record_purge(start.elapsed_ns());
         self.note_purge(self.hist.total());
         self.bag = std::mem::take(&mut self.hist).into_bag();
@@ -437,7 +451,13 @@ impl<T: SampleValue> Sampler<T> for HybridReservoir<T> {
             ),
             Phase::Reservoir => {
                 let (hist, size_is_everything) = if self.expanded {
-                    (CompactHistogram::from_bag(self.bag), false)
+                    // The bag holds at most n_F values, so reserving its
+                    // length bounds the table by the footprint.
+                    let mut hist = CompactHistogram::with_slot_capacity(index_u64(self.bag.len()));
+                    for v in self.bag {
+                        hist.insert_one(v);
+                    }
+                    (hist, false)
                 } else {
                     // The stream ended between the phase switch and the
                     // first skip-selected insertion. The histogram still
@@ -467,7 +487,7 @@ impl<T: SampleValue> Sampler<T> for HybridReservoir<T> {
                     // skipped by the skip distribution, so uniformity over
                     // the whole stream is preserved (§3.2 conditioning).
                     let start = Stopwatch::start();
-                    purge_reservoir(&mut hist, self.policy.n_f(), rng);
+                    hist = purge_reservoir(&hist, self.policy.n_f(), rng);
                     self.stats.record_purge(start.elapsed_ns());
                     push_capped(
                         &mut self.lineage,

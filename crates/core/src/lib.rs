@@ -58,7 +58,7 @@ pub use hybrid_reservoir::HybridReservoir;
 pub use lineage::{LineageEvent, PurgeKind};
 pub use merge::{
     hb_merge, hr_merge, hr_merge_multiway, merge, merge_all, merge_tree_parallel, merge_union,
-    HypergeometricCache, MergeError,
+    MergeError,
 };
 pub use planner::{plan_union, MergePlan, NodeShape, PlanNode, PlanOp, ShapeKind};
 pub use qbound::{q_approx, q_exact};

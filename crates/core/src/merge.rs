@@ -18,8 +18,13 @@
 //!   paper's serial pairwise merge, kept as the experiments' baseline).
 //! * [`merge_union`] — the warehouse's union engine: one planned merge DAG
 //!   ([`crate::planner::plan_union`]) run on the work-stealing executor,
-//!   combining the pairwise rules with alias-cached symmetric splits
-//!   (§4.2) and multiway hypergeometric nodes ([`hr_merge_multiway`]).
+//!   combining the pairwise rules with multiway hypergeometric nodes
+//!   ([`hr_merge_multiway`]). Its leaves may be borrowed ([`Cow`]), so a
+//!   catalog unions its samples without copying them.
+//!
+//! Every hypergeometric split is one windowed draw
+//! ([`swh_rand::hypergeometric::draw`]), costing `O(√k)` rather than a
+//! full `O(k)` pmf table.
 //!
 //! All rules require the two samples to share the same footprint policy and
 //! refuse concise samples (not uniform, §3.3).
@@ -36,12 +41,13 @@ use crate::sample::{Sample, SampleKind};
 use crate::sampler::Sampler;
 use crate::value::SampleValue;
 use rand::Rng;
+use std::borrow::Cow;
 use std::sync::{Mutex, OnceLock, PoisonError};
 use swh_obs::journal::EventKind;
 use swh_obs::trace::Op;
 use swh_obs::{profile, Gauge};
-use swh_rand::checked::index_u64;
-use swh_rand::hypergeometric::Hypergeometric;
+use swh_rand::checked::{as_index, index_u64};
+use swh_rand::hypergeometric::draw;
 use swh_rand::seeded_rng;
 use swh_rand::skip::ReservoirSkip;
 
@@ -152,18 +158,47 @@ fn check_mergeable<T: SampleValue>(s1: &Sample<T>, s2: &Sample<T>) -> Result<(),
     Ok(())
 }
 
-/// Stream every data-element value represented by `hist` into `sampler`.
-/// No expansion is materialized; pairs are walked in place (the paper: "no
-/// expansion of S_i is required for such extraction").
+/// Values per [`stream_into`] batch: large enough to amortize the batch
+/// call, small enough that the reused buffer stays in cache.
+const STREAM_CHUNK: usize = 1024;
+
+/// Stream every data-element value represented by `hist` into `sampler`,
+/// through [`Sampler::observe_batch`] over a reused chunk buffer (the bulk
+/// path is byte-identical to element-wise `observe`). No expansion of the
+/// whole sample is materialized (the paper: "no expansion of S_i is
+/// required for such extraction").
 fn stream_into<T: SampleValue, S: Sampler<T>, R: Rng + ?Sized>(
     sampler: &mut S,
     hist: &CompactHistogram<T>,
     rng: &mut R,
 ) {
+    let mut chunk: Vec<T> = Vec::with_capacity(STREAM_CHUNK.min(as_index(hist.total())));
     for (v, c) in hist.iter() {
         for _ in 0..c {
-            sampler.observe(v.clone(), rng);
+            chunk.push(v.clone());
+            if chunk.len() == STREAM_CHUNK {
+                sampler.observe_batch(&chunk, rng);
+                chunk.clear();
+            }
         }
+    }
+    if !chunk.is_empty() {
+        sampler.observe_batch(&chunk, rng);
+    }
+}
+
+/// Order two inputs for a re-stream (Fig. 6 / Fig. 8 lines 1–4): the
+/// exhaustive side is streamed into the other — the smaller one when both
+/// are exhaustive (the paper's figures are agnostic; the cost of this
+/// branch is exactly the streamed sample's size).
+fn restream_sides<'a, T: SampleValue>(
+    s1: Cow<'a, Sample<T>>,
+    s2: Cow<'a, Sample<T>>,
+) -> (Cow<'a, Sample<T>>, Cow<'a, Sample<T>>) {
+    match (s1.kind(), s2.kind()) {
+        (SampleKind::Exhaustive, SampleKind::Exhaustive) if s1.size() > s2.size() => (s2, s1),
+        (SampleKind::Exhaustive, _) => (s1, s2),
+        _ => (s2, s1),
     }
 }
 
@@ -178,36 +213,33 @@ pub fn hb_merge<T: SampleValue, R: Rng + ?Sized>(
     p_bound: f64,
     rng: &mut R,
 ) -> Result<Sample<T>, MergeError> {
+    hb_pair(Cow::Owned(s1), Cow::Owned(s2), p_bound, rng)
+}
+
+/// [`hb_merge`] over owned or borrowed inputs: an input is copied only
+/// where the rule mutates it (the resumed prior, a thinned Bernoulli side).
+fn hb_pair<T: SampleValue, R: Rng + ?Sized>(
+    s1: Cow<'_, Sample<T>>,
+    s2: Cow<'_, Sample<T>>,
+    p_bound: f64,
+    rng: &mut R,
+) -> Result<Sample<T>, MergeError> {
     check_mergeable(&s1, &s2)?;
     let combined_n = s1.parent_size() + s2.parent_size();
 
     // Fig. 6 lines 1–4: at least one sample is exhaustive — re-stream its
-    // values into Algorithm HB resumed from the other sample. When both are
-    // exhaustive, stream the SMALLER one (the paper's figure is agnostic;
-    // the cost of this branch is exactly the streamed sample's size).
+    // values into Algorithm HB resumed from the other sample.
     if s1.kind() == SampleKind::Exhaustive || s2.kind() == SampleKind::Exhaustive {
-        let (exhaustive, other) = match (s1.kind(), s2.kind()) {
-            (SampleKind::Exhaustive, SampleKind::Exhaustive) => {
-                if s1.size() <= s2.size() {
-                    (s1, s2)
-                } else {
-                    (s2, s1)
-                }
-            }
-            (SampleKind::Exhaustive, _) => (s1, s2),
-            _ => (s2, s1),
-        };
+        let (exhaustive, other) = restream_sides(s1, s2);
         if other.kind() == SampleKind::Reservoir {
             // Resuming HB from a reservoir prior is legal, but HR handles
             // this case without needing a population-size estimate.
             return hr_merge_with_exhaustive(exhaustive, other, rng);
         }
-        let ex_lineage = exhaustive.lineage().to_vec();
-        let hist = exhaustive.into_histogram();
-        let mut hb = HybridBernoulli::resume(other, combined_n, p_bound, rng);
-        stream_into(&mut hb, &hist, rng);
+        let mut hb = HybridBernoulli::resume(other.into_owned(), combined_n, p_bound, rng);
+        stream_into(&mut hb, exhaustive.histogram(), rng);
         let merged = hb.finalize(rng);
-        let lin = merged_lineage(&[&ex_lineage, merged.lineage()], 2, 0);
+        let lin = merged_lineage(&[exhaustive.lineage(), merged.lineage()], 2, 0);
         note_merge(2, 0);
         return Ok(merged.with_lineage(lin));
     }
@@ -215,7 +247,7 @@ pub fn hb_merge<T: SampleValue, R: Rng + ?Sized>(
     // Fig. 6 lines 5–7: at least one reservoir sample — use HRMerge
     // (a Bernoulli sample is conditionally a simple random sample, §3.2).
     if s1.kind() == SampleKind::Reservoir || s2.kind() == SampleKind::Reservoir {
-        return hr_merge_reservoirs(s1, s2, rng);
+        return hr_merge_split(s1, s2, rng);
     }
 
     // Fig. 6 lines 8–16: both Bernoulli.
@@ -231,8 +263,8 @@ pub fn hb_merge<T: SampleValue, R: Rng + ?Sized>(
     crate::audit::global().note_q_decay(q, q_approx(combined_n, p_bound, n_f));
     let lin1 = s1.lineage().to_vec();
     let lin2 = s2.lineage().to_vec();
-    let mut h1 = s1.into_histogram();
-    let mut h2 = s2.into_histogram();
+    let mut h1 = s1.into_owned().into_histogram();
+    let mut h2 = s2.into_owned().into_histogram();
     // Equalize both samples to rate q: Bern(q/q_i) of a Bern(q_i) sample is
     // a Bern(q) sample (§3.1).
     purge_bernoulli(&mut h1, q / q1, rng);
@@ -269,34 +301,35 @@ pub fn hr_merge<T: SampleValue, R: Rng + ?Sized>(
     s2: Sample<T>,
     rng: &mut R,
 ) -> Result<Sample<T>, MergeError> {
+    hr_pair(Cow::Owned(s1), Cow::Owned(s2), rng)
+}
+
+/// [`hr_merge`] over owned or borrowed inputs.
+fn hr_pair<T: SampleValue, R: Rng + ?Sized>(
+    s1: Cow<'_, Sample<T>>,
+    s2: Cow<'_, Sample<T>>,
+    rng: &mut R,
+) -> Result<Sample<T>, MergeError> {
     check_mergeable(&s1, &s2)?;
-    // Fig. 8 lines 1–4: at least one exhaustive sample (stream the smaller
-    // when both are).
+    // Fig. 8 lines 1–4: at least one exhaustive sample.
     if s1.kind() == SampleKind::Exhaustive || s2.kind() == SampleKind::Exhaustive {
-        let (exhaustive, other) = match (s1.kind(), s2.kind()) {
-            (SampleKind::Exhaustive, SampleKind::Exhaustive) => {
-                if s1.size() <= s2.size() {
-                    (s1, s2)
-                } else {
-                    (s2, s1)
-                }
-            }
-            (SampleKind::Exhaustive, _) => (s1, s2),
-            _ => (s2, s1),
-        };
+        let (exhaustive, other) = restream_sides(s1, s2);
         return hr_merge_with_exhaustive(exhaustive, other, rng);
     }
-    hr_merge_reservoirs(s1, s2, rng)
+    hr_merge_split(s1, s2, rng)
 }
 
 /// Re-stream an exhaustive sample's values into Algorithm HR resumed from
 /// `other` (which must be exhaustive or reservoir; a Bernoulli sample is
-/// first reinterpreted as a conditional simple random sample, §3.2).
+/// first reinterpreted as a conditional simple random sample, §3.2). Only
+/// the resumed side is copied out of a borrowed input; the streamed side is
+/// read in place.
 fn hr_merge_with_exhaustive<T: SampleValue, R: Rng + ?Sized>(
-    exhaustive: Sample<T>,
-    other: Sample<T>,
+    exhaustive: Cow<'_, Sample<T>>,
+    other: Cow<'_, Sample<T>>,
     rng: &mut R,
 ) -> Result<Sample<T>, MergeError> {
+    let other = other.into_owned();
     let other = match other.kind() {
         SampleKind::Bernoulli { .. } => {
             // Conditioned on its realized size, a Bernoulli sample is a
@@ -314,74 +347,65 @@ fn hr_merge_with_exhaustive<T: SampleValue, R: Rng + ?Sized>(
         }
         _ => other,
     };
-    let ex_lineage = exhaustive.lineage().to_vec();
-    let hist = exhaustive.into_histogram();
     let mut hr = HybridReservoir::resume(other, rng);
-    stream_into(&mut hr, &hist, rng);
+    stream_into(&mut hr, exhaustive.histogram(), rng);
     let merged = hr.finalize(rng);
-    let lin = merged_lineage(&[&ex_lineage, merged.lineage()], 2, 0);
+    let lin = merged_lineage(&[exhaustive.lineage(), merged.lineage()], 2, 0);
     note_merge(2, 0);
     Ok(merged.with_lineage(lin))
 }
 
-/// Fig. 8 lines 5–12: merge two simple random samples via the
-/// hypergeometric split of Theorem 1. Bernoulli inputs are treated as
-/// conditional simple random samples of their realized sizes.
-fn hr_merge_reservoirs<T: SampleValue, R: Rng + ?Sized>(
-    s1: Sample<T>,
-    s2: Sample<T>,
+/// Simple random subsample of `m` elements of `s` (Fig. 4), as a fresh
+/// histogram. An owned input that is already small enough is moved, not
+/// copied; a borrowed one is only read.
+fn subsample_hist<T: SampleValue, R: Rng + ?Sized>(
+    s: Cow<'_, Sample<T>>,
+    m: u64,
     rng: &mut R,
-) -> Result<Sample<T>, MergeError> {
-    hr_merge_split(s1, s2, rng, |n1, n2, k, rng| {
-        Hypergeometric::new(n1, n2, k).sample(rng)
-    })
+) -> CompactHistogram<T> {
+    match s {
+        Cow::Owned(s) if s.size() <= m => s.into_histogram(),
+        s => purge_reservoir(s.histogram(), m, rng),
+    }
 }
 
-/// The body of [`hr_merge_reservoirs`] with the Eq. (2) split `L` drawn by
-/// `split(|D1|, |D2|, k, rng)` — by inversion, or from a shared alias
-/// table for the engine's cached pairs.
+/// Fig. 8 lines 5–12: merge two simple random samples via the
+/// hypergeometric split of Theorem 1, drawn from Eq. (2) by
+/// [`swh_rand::hypergeometric::draw`]. Bernoulli inputs are treated as
+/// conditional simple random samples of their realized sizes. Both inputs
+/// are only read: each side's share is subsampled into one fresh output.
 fn hr_merge_split<T: SampleValue, R: Rng + ?Sized>(
-    s1: Sample<T>,
-    s2: Sample<T>,
+    s1: Cow<'_, Sample<T>>,
+    s2: Cow<'_, Sample<T>>,
     rng: &mut R,
-    split: impl FnOnce(u64, u64, u64, &mut R) -> u64,
 ) -> Result<Sample<T>, MergeError> {
     let policy = s1.policy();
     let (n1, n2) = (s1.parent_size(), s2.parent_size());
     // Degenerate cases: an empty *partition* contributes nothing.
     if n1 == 0 {
-        return Ok(s2);
+        return Ok(s2.into_owned());
     }
     if n2 == 0 {
-        return Ok(s1);
+        return Ok(s1.into_owned());
     }
     let k = s1.size().min(s2.size());
-    let lin1 = s1.lineage().to_vec();
-    let lin2 = s2.lineage().to_vec();
-    let mut h1 = s1.into_histogram();
-    let mut h2 = s2.into_histogram();
     // Fig. 8 lines 6–10: draw the split from Eq. (2) and subsample each
     // side to its share.
-    let l = split(n1, n2, k, rng);
+    let l = draw(n1, n2, k, rng);
     invariant!(
-        l <= k.min(h1.total()),
+        l <= k.min(s1.size()),
         "HRMerge split L = {l} exceeds min(k = {k}, |S1| = {})",
-        h1.total()
+        s1.size()
     );
-    purge_reservoir(&mut h1, l, rng);
-    purge_reservoir(&mut h2, k - l, rng);
-    let purges = [
-        (PurgeKind::Reservoir, h1.total()),
-        (PurgeKind::Reservoir, h2.total()),
-    ];
-    h1.join(h2);
-    debug_assert_eq!(h1.total(), k);
+    // l ≤ |S1| and k - l ≤ k ≤ |S2|: each purge keeps exactly its share.
+    let purges = [(PurgeKind::Reservoir, l), (PurgeKind::Reservoir, k - l)];
+    let lineage = merged_lineage_with_purges(&[s1.lineage(), s2.lineage()], &purges, 2, l);
+    let mut merged = subsample_hist(s1, l, rng);
+    merged.join(subsample_hist(s2, k - l, rng));
+    debug_assert_eq!(merged.total(), k);
     note_merge(2, l);
     crate::audit::global().note_split(n1, n2, k, l);
-    Ok(
-        Sample::from_parts(h1, SampleKind::Reservoir, n1 + n2, policy)
-            .with_lineage(merged_lineage_with_purges(&[&lin1, &lin2], &purges, 2, l)),
-    )
+    Ok(Sample::from_parts(merged, SampleKind::Reservoir, n1 + n2, policy).with_lineage(lineage))
 }
 
 /// Reservoir sample of size `n_f` over the concatenation `h1 ++ h2`
@@ -394,8 +418,11 @@ fn reservoir_of_concatenation<T: SampleValue, R: Rng + ?Sized>(
     rng: &mut R,
 ) -> CompactHistogram<T> {
     let n1 = h1.total();
-    let mut h1 = h1;
-    purge_reservoir(&mut h1, n_f, rng);
+    let h1 = if n1 > n_f {
+        purge_reservoir(&h1, n_f, rng)
+    } else {
+        h1
+    };
     let mut bag = h1.into_bag();
     let mut t = n1;
     let mut gen = ReservoirSkip::new(n_f, rng);
@@ -443,17 +470,22 @@ pub fn merge<T: SampleValue, R: Rng + ?Sized>(
     p_bound: f64,
     rng: &mut R,
 ) -> Result<Sample<T>, MergeError> {
+    merge_pair(Cow::Owned(s1), Cow::Owned(s2), p_bound, rng)
+}
+
+/// [`merge`] over owned or borrowed inputs — the union engine's pairwise
+/// node.
+fn merge_pair<T: SampleValue, R: Rng + ?Sized>(
+    s1: Cow<'_, Sample<T>>,
+    s2: Cow<'_, Sample<T>>,
+    p_bound: f64,
+    rng: &mut R,
+) -> Result<Sample<T>, MergeError> {
     check_mergeable(&s1, &s2)?;
     let _prof = merge_profile_scope(s1.kind(), s2.kind(), s1.size() + s2.size());
     match (s1.kind(), s2.kind()) {
-        (SampleKind::Reservoir, _) | (_, SampleKind::Reservoir) => {
-            if s1.kind() == SampleKind::Exhaustive || s2.kind() == SampleKind::Exhaustive {
-                hr_merge(s1, s2, rng)
-            } else {
-                hr_merge_reservoirs(s1, s2, rng)
-            }
-        }
-        _ => hb_merge(s1, s2, p_bound, rng),
+        (SampleKind::Reservoir, _) | (_, SampleKind::Reservoir) => hr_pair(s1, s2, rng),
+        _ => hb_pair(s1, s2, p_bound, rng),
     }
 }
 
@@ -487,41 +519,21 @@ fn plan_node_rng(base: u64, idx: usize) -> impl Rng {
     seeded_rng(base ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(index_u64(idx).wrapping_add(1)))
 }
 
-/// `HRMerge` of two equal-size simple random samples with the split served
-/// from the union's shared [`HypergeometricCache`] (§4.2) — the executor's
-/// `CachedPair` operator. Statistically identical to
-/// [`hr_merge_reservoirs`]; only the split's sampling algorithm differs
-/// (alias table vs. direct inversion), and cached table construction is
-/// deterministic per key, so cache state never affects results.
-fn plan_cached_merge<T: SampleValue, R: Rng + ?Sized>(
-    s1: Sample<T>,
-    s2: Sample<T>,
-    cache: &Mutex<HypergeometricCache>,
-    rng: &mut R,
-) -> Result<Sample<T>, MergeError> {
-    check_mergeable(&s1, &s2)?;
-    let _prof = merge_profile_scope(s1.kind(), s2.kind(), s1.size() + s2.size());
-    hr_merge_split(s1, s2, rng, |n1, n2, k, rng| {
-        let mut tables = cache.lock().unwrap_or_else(PoisonError::into_inner);
-        tables.split(n1, n2, k, rng)
-    })
-}
-
 /// Resolve one plan node's inputs: values the executor handed over for
-/// executed dependencies, leaf samples fetched from the caller's inputs for
-/// completed ones.
-fn gather_inputs<T: SampleValue>(
+/// executed dependencies, leaf samples (owned or borrowed, as the caller
+/// passed them) for completed ones.
+fn gather_inputs<'a, T: SampleValue>(
     plan: &MergePlan,
     children: &[usize],
     taken: Vec<Option<Sample<T>>>,
-    fetch_leaf: &(dyn Fn(usize) -> Sample<T> + Sync),
-) -> Vec<Sample<T>> {
+    fetch_leaf: &(dyn Fn(usize) -> Cow<'a, Sample<T>> + Sync),
+) -> Vec<Cow<'a, Sample<T>>> {
     debug_assert_eq!(children.len(), taken.len());
     children
         .iter()
         .zip(taken)
         .map(|(&c, v)| match v {
-            Some(s) => s,
+            Some(s) => Cow::Owned(s),
             None => match &plan.nodes[c].op {
                 PlanOp::Leaf { input } => fetch_leaf(*input),
                 _ => panic!("executed dependency produced no value"),
@@ -532,12 +544,11 @@ fn gather_inputs<T: SampleValue>(
 
 /// Execute one merge-plan node under its profile scope with its own
 /// deterministic RNG stream.
-fn exec_plan_node<T: SampleValue>(
+fn exec_plan_node<'a, T: SampleValue>(
     plan: &MergePlan,
     idx: usize,
     taken: Vec<Option<Sample<T>>>,
-    fetch_leaf: &(dyn Fn(usize) -> Sample<T> + Sync),
-    cache: &Mutex<HypergeometricCache>,
+    fetch_leaf: &(dyn Fn(usize) -> Cow<'a, Sample<T>> + Sync),
     p_bound: f64,
     base: u64,
 ) -> Result<Sample<T>, MergeError> {
@@ -551,15 +562,9 @@ fn exec_plan_node<T: SampleValue>(
             let (Some(b), Some(a)) = (inputs.pop(), inputs.pop()) else {
                 panic!("pair node needs two inputs");
             };
-            merge(a, b, p_bound, &mut rng)
+            merge_pair(a, b, p_bound, &mut rng)
         }
-        PlanOp::CachedPair { .. } => {
-            let (Some(b), Some(a)) = (inputs.pop(), inputs.pop()) else {
-                panic!("cached pair node needs two inputs");
-            };
-            plan_cached_merge(a, b, cache, &mut rng)
-        }
-        PlanOp::Multiway { .. } => hr_merge_multiway(inputs, &mut rng),
+        PlanOp::Multiway { .. } => multiway(inputs, &mut rng),
     }
 }
 
@@ -568,8 +573,8 @@ fn exec_plan_node<T: SampleValue>(
 ///
 /// # Panics
 /// Panics if `samples` is empty.
-pub fn union_plan<T: SampleValue>(samples: &[Sample<T>]) -> MergePlan {
-    let shapes: Vec<NodeShape> = samples.iter().map(NodeShape::of).collect();
+pub fn union_plan<T: SampleValue>(samples: &[Cow<'_, Sample<T>>]) -> MergePlan {
+    let shapes: Vec<NodeShape> = samples.iter().map(|s| NodeShape::of(s)).collect();
     let n_f = samples.first().map_or(0, |s| s.policy().n_f());
     plan_union(&shapes, n_f)
 }
@@ -581,20 +586,28 @@ pub fn union_plan<T: SampleValue>(samples: &[Sample<T>]) -> MergePlan {
 /// of two or more samples outside the paper's serial-fold baseline runs
 /// here.
 ///
+/// Leaves are passed owned or borrowed ([`Cow`]): a caller that owns its
+/// samples hands them over, one that shares them (a catalog) lends them.
+/// The engine reads borrowed leaves in place and copies one only where a
+/// rule must mutate its input — resuming Algorithm HR/HB from it, or
+/// thinning a Bernoulli pair. Reservoir splits, multiway nodes and the
+/// streamed side of a re-stream write one fresh output instead.
+///
 /// One base seed is drawn from the caller's RNG up front; each plan node
 /// then derives its own RNG stream via [`plan_node_rng`], so the result is
 /// **byte-identical run to run, across worker counts, and across steal
 /// orders** — `workers = 1` produces exactly the same sample as
-/// `workers = 64` for the same caller RNG state. Lineage Merge/Purge
-/// events are recorded per node exactly as the pairwise operators record
-/// them; only the association order differs from [`merge_all`].
+/// `workers = 64` for the same caller RNG state, and owned and borrowed
+/// leaves give the same sample. Lineage Merge/Purge events are recorded
+/// per node exactly as the pairwise operators record them; only the
+/// association order differs from [`merge_all`].
 ///
 /// # Panics
 /// Panics if `samples` is empty or does not match the plan's leaves, or
 /// if `workers` is zero.
-pub fn run_union<T: SampleValue, R: Rng + ?Sized>(
+pub fn run_union<'a, T: SampleValue, R: Rng + ?Sized>(
     plan: &MergePlan,
-    samples: Vec<Sample<T>>,
+    samples: Vec<Cow<'a, Sample<T>>>,
     p_bound: f64,
     workers: usize,
     rng: &mut R,
@@ -611,9 +624,9 @@ pub fn run_union<T: SampleValue, R: Rng + ?Sized>(
     );
     let base = rng.random::<u64>();
     let workers = workers.min(plan.merge_node_count().max(1));
-    let leaves: Vec<Mutex<Option<Sample<T>>>> =
+    let leaves: Vec<Mutex<Option<Cow<'a, Sample<T>>>>> =
         samples.into_iter().map(|s| Mutex::new(Some(s))).collect();
-    let fetch_leaf = |input: usize| -> Sample<T> {
+    let fetch_leaf = |input: usize| -> Cow<'a, Sample<T>> {
         let taken = {
             let mut slot = leaves[input].lock().unwrap_or_else(PoisonError::into_inner);
             slot.take()
@@ -624,7 +637,7 @@ pub fn run_union<T: SampleValue, R: Rng + ?Sized>(
         }
     };
     if let PlanOp::Leaf { input } = &plan.nodes[plan.root].op {
-        return Ok(fetch_leaf(*input));
+        return Ok(fetch_leaf(*input).into_owned());
     }
     let n = plan.nodes.len();
     let mut deps = Vec::with_capacity(n);
@@ -634,9 +647,8 @@ pub fn run_union<T: SampleValue, R: Rng + ?Sized>(
         completed.push(matches!(node.op, PlanOp::Leaf { .. }));
     }
     let costs: Vec<u64> = plan.nodes.iter().map(|node| node.cost).collect();
-    let cache = Mutex::new(HypergeometricCache::new());
     let exec = |idx: usize, taken: Vec<Option<Sample<T>>>| {
-        exec_plan_node(plan, idx, taken, &fetch_leaf, &cache, p_bound, base)
+        exec_plan_node(plan, idx, taken, &fetch_leaf, p_bound, base)
     };
     crate::executor::run_dag(
         &deps,
@@ -655,12 +667,29 @@ pub fn run_union<T: SampleValue, R: Rng + ?Sized>(
 /// primitive. The union is planned once ([`union_plan`]); its worker count
 /// is [`MergePlan::machine_threads`] (the measured cost model over the
 /// machine's parallelism), so small unions run inline on one thread. The
-/// worker count never affects the result (see [`run_union`]).
+/// worker count never affects the result (see [`run_union`], also for how
+/// owned and borrowed leaves are treated).
+///
+/// ```
+/// use std::borrow::Cow;
+/// use swh_core::{merge_union, FootprintPolicy, HybridReservoir, Sampler};
+/// use swh_rand::seeded_rng;
+///
+/// let mut rng = seeded_rng(3);
+/// let policy = FootprintPolicy::with_value_budget(64);
+/// let days: Vec<_> = (0..7u64)
+///     .map(|d| HybridReservoir::new(policy).sample_batch(d * 1_000..(d + 1) * 1_000, &mut rng))
+///     .collect();
+/// // Lend the samples: the union reads them in place.
+/// let week = merge_union(days.iter().map(Cow::Borrowed).collect(), 1e-3, &mut rng).unwrap();
+/// assert_eq!(week.parent_size(), 7_000);
+/// assert!(week.size() <= 64);
+/// ```
 ///
 /// # Panics
 /// Panics if `samples` is empty.
 pub fn merge_union<T: SampleValue, R: Rng + ?Sized>(
-    samples: Vec<Sample<T>>,
+    samples: Vec<Cow<'_, Sample<T>>>,
     p_bound: f64,
     rng: &mut R,
 ) -> Result<Sample<T>, MergeError> {
@@ -676,7 +705,7 @@ pub fn merge_union<T: SampleValue, R: Rng + ?Sized>(
 /// # Panics
 /// Panics if `samples` is empty or `threads` is zero.
 pub fn merge_tree_parallel<T: SampleValue, R: Rng + ?Sized>(
-    samples: Vec<Sample<T>>,
+    samples: Vec<Cow<'_, Sample<T>>>,
     p_bound: f64,
     threads: usize,
     rng: &mut R,
@@ -700,7 +729,17 @@ pub fn merge_tree_parallel<T: SampleValue, R: Rng + ?Sized>(
 /// # Panics
 /// Panics if `samples` is empty.
 pub fn hr_merge_multiway<T: SampleValue, R: Rng + ?Sized>(
-    mut samples: Vec<Sample<T>>,
+    samples: Vec<Sample<T>>,
+    rng: &mut R,
+) -> Result<Sample<T>, MergeError> {
+    multiway(samples.into_iter().map(Cow::Owned).collect(), rng)
+}
+
+/// [`hr_merge_multiway`] over owned or borrowed inputs — the union
+/// engine's multiway node. Inputs are only read: each share is subsampled
+/// straight into the one output, reserved for its `k` elements.
+fn multiway<T: SampleValue, R: Rng + ?Sized>(
+    mut samples: Vec<Cow<'_, Sample<T>>>,
     rng: &mut R,
 ) -> Result<Sample<T>, MergeError> {
     let Some(first) = samples.first() else {
@@ -720,9 +759,9 @@ pub fn hr_merge_multiway<T: SampleValue, R: Rng + ?Sized>(
         let Some(only) = samples.pop() else {
             panic!("a one-element vector pops an element");
         };
-        return Ok(only);
+        return Ok(only.into_owned());
     }
-    let total_in: u64 = samples.iter().map(Sample::size).sum();
+    let total_in: u64 = samples.iter().map(|s| s.size()).sum();
     let _prof = merge_profile_scope(SampleKind::Reservoir, SampleKind::Reservoir, total_in);
     // Drop empty partitions (they contribute nothing, and zero-size
     // samples of non-empty parents would needlessly force k = 0).
@@ -735,68 +774,25 @@ pub fn hr_merge_multiway<T: SampleValue, R: Rng + ?Sized>(
             policy,
         ));
     }
-    let k = samples.iter().map(Sample::size).min().unwrap_or(0);
-    let parents: Vec<u64> = samples.iter().map(Sample::parent_size).collect();
+    let k = samples.iter().map(|s| s.size()).min().unwrap_or(0);
+    let parents: Vec<u64> = samples.iter().map(|s| s.parent_size()).collect();
     let total_parent: u64 = parents.iter().sum();
     let fan_in = samples.len() as u32;
     let shares = swh_rand::hypergeometric::sample_multivariate(rng, &parents, k);
-    let mut merged = CompactHistogram::new();
-    let mut purges = Vec::with_capacity(samples.len());
-    let mut lineages: Vec<Vec<LineageEvent>> = Vec::with_capacity(samples.len());
+    // Each share is at most k ≤ |S_i|, so each purge keeps exactly it.
+    let purges: Vec<(PurgeKind, u64)> = shares.iter().map(|&l| (PurgeKind::Reservoir, l)).collect();
+    let parent_lineages: Vec<&[LineageEvent]> = samples.iter().map(|s| s.lineage()).collect();
+    let lineage = merged_lineage_with_purges(&parent_lineages, &purges, fan_in, 0);
+    let mut merged = CompactHistogram::with_slot_capacity(k);
     for (s, share) in samples.into_iter().zip(shares) {
-        lineages.push(s.lineage().to_vec());
-        let mut h = s.into_histogram();
-        purge_reservoir(&mut h, share, rng);
-        purges.push((PurgeKind::Reservoir, h.total()));
-        merged.join(h);
+        merged.join(subsample_hist(s, share, rng));
     }
     debug_assert_eq!(merged.total(), k);
-    let parent_lineages: Vec<&[LineageEvent]> = lineages.iter().map(Vec::as_slice).collect();
     note_merge(fan_in, 0);
     Ok(
-        Sample::from_parts(merged, SampleKind::Reservoir, total_parent, policy).with_lineage(
-            merged_lineage_with_purges(&parent_lineages, &purges, fan_in, 0),
-        ),
+        Sample::from_parts(merged, SampleKind::Reservoir, total_parent, policy)
+            .with_lineage(lineage),
     )
-}
-
-/// Cache of alias tables keyed by `(|D1|, |D2|, k)` for the repeated
-/// symmetric merges of §4.2: "the alias method can be used to increase
-/// generation efficiency" when "merges are performed in a symmetric
-/// pairwise fashion", because a balanced merge tree over equal partitions
-/// reuses one hypergeometric distribution per level. Each union run by
-/// [`run_union`] shares one cache across its `CachedPair` nodes.
-#[derive(Debug, Default)]
-pub struct HypergeometricCache {
-    tables: crate::fxhash::FxHashMap<(u64, u64, u64), swh_rand::alias::AliasTable>,
-}
-
-impl HypergeometricCache {
-    /// Empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of distinct distributions cached.
-    pub fn len(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// True when nothing has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.tables.is_empty()
-    }
-
-    /// Draw the left share `L` for a merge of simple random samples over
-    /// parents of sizes `d1`, `d2` with merged size `k`, building (and
-    /// caching) the alias table on first use.
-    pub fn split<R: Rng + ?Sized>(&mut self, d1: u64, d2: u64, k: u64, rng: &mut R) -> u64 {
-        let table = self
-            .tables
-            .entry((d1, d2, k))
-            .or_insert_with(|| Hypergeometric::new(d1, d2, k).alias_table());
-        table.sample(rng)
-    }
 }
 
 #[cfg(test)]
@@ -1061,7 +1057,13 @@ mod tests {
             .collect();
         let run = |threads: usize| {
             let mut rng = seeded_rng(77);
-            merge_tree_parallel(parts.clone(), 1e-3, threads, &mut rng).unwrap()
+            merge_tree_parallel(
+                parts.iter().map(Cow::Borrowed).collect(),
+                1e-3,
+                threads,
+                &mut rng,
+            )
+            .unwrap()
         };
         let serial = run(1);
         assert_eq!(serial, run(8), "thread count changed the result");
@@ -1077,9 +1079,10 @@ mod tests {
         let parts: Vec<Sample<u64>> = (0..5u64)
             .map(|p| reservoir_sample(p * 100..(p + 1) * 100, 16, &mut rng))
             .collect();
-        let one = merge_tree_parallel(parts[..1].to_vec(), 1e-3, 4, &mut rng).unwrap();
+        let one = merge_tree_parallel(vec![Cow::Borrowed(&parts[0])], 1e-3, 4, &mut rng).unwrap();
         assert_eq!(one, parts[0], "a one-sample union is that sample");
-        let odd = merge_tree_parallel(parts, 1e-3, 4, &mut rng).unwrap();
+        let owned = parts.into_iter().map(Cow::Owned).collect();
+        let odd = merge_tree_parallel(owned, 1e-3, 4, &mut rng).unwrap();
         assert_eq!(odd.parent_size(), 500);
         assert_eq!(odd.size(), 16);
     }
@@ -1094,8 +1097,8 @@ mod tests {
         let n = n_parts * per;
         let mut incl = vec![0u64; n as usize];
         for _ in 0..trials {
-            let parts: Vec<Sample<u64>> = (0..n_parts)
-                .map(|p| reservoir_sample(p * per..(p + 1) * per, n_f, &mut rng))
+            let parts = (0..n_parts)
+                .map(|p| Cow::Owned(reservoir_sample(p * per..(p + 1) * per, n_f, &mut rng)))
                 .collect();
             let m = merge_tree_parallel(parts, 1e-3, 2, &mut rng).unwrap();
             for (v, _) in m.histogram().iter() {
@@ -1229,6 +1232,25 @@ mod tests {
     }
 
     #[test]
+    fn restream_resumes_a_prior_already_at_the_bound() {
+        // Eight distinct values at n_F = 8 leave HR's phase 1 exactly at
+        // the bound; a stream that ends there finalizes exhaustive with its
+        // footprint at n_F. Re-streaming one such sample into another
+        // resumes a sampler already at the bound, whose first insert takes
+        // the histogram to n_F + 1 distinct values and leaves phase 1.
+        let mut rng = seeded_rng(33);
+        let s1 = reservoir_sample(0..8, 8, &mut rng);
+        let s2 = reservoir_sample(8..16, 8, &mut rng);
+        assert_eq!((s1.kind(), s1.slots()), (SampleKind::Exhaustive, 8));
+        let via_hb = merge(s1.clone(), s2.clone(), 1e-3, &mut rng).unwrap();
+        let via_hr = hr_merge(s1, s2, &mut rng).unwrap();
+        for m in [via_hb, via_hr] {
+            assert_eq!(m.parent_size(), 16);
+            assert!(m.size() <= 8, "size {}", m.size());
+        }
+    }
+
+    #[test]
     fn multiway_merge_size_and_domain() {
         let mut rng = seeded_rng(22);
         let parts: Vec<Sample<u64>> = (0..8u64)
@@ -1276,26 +1298,23 @@ mod tests {
     }
 
     #[test]
-    fn cached_pair_union_is_uniform() {
-        // Two equal-size reservoirs plan to one alias-cached pair (§4.2);
-        // the engine's cached split must keep the union uniform.
+    fn pair_union_is_uniform() {
+        // Two equal-size reservoirs plan to one pairwise node, whose split
+        // is one windowed Eq. (2) draw; the union must stay uniform.
         let mut rng = seeded_rng(25);
         let plan = union_plan(&[
-            reservoir_sample(0..40, 4, &mut rng),
-            reservoir_sample(40..80, 4, &mut rng),
+            Cow::Owned(reservoir_sample(0..40, 4, &mut rng)),
+            Cow::Owned(reservoir_sample(40..80, 4, &mut rng)),
         ]);
-        assert!(matches!(
-            plan.nodes[plan.root].op,
-            PlanOp::CachedPair { .. }
-        ));
+        assert!(matches!(plan.nodes[plan.root].op, PlanOp::Pair { .. }));
         let trials = 15_000usize;
         let mut incl = vec![0u64; 80];
         for _ in 0..trials {
-            let parts = vec![
+            let parts = [
                 reservoir_sample(0..40, 4, &mut rng),
                 reservoir_sample(40..80, 4, &mut rng),
             ];
-            let m = merge_union(parts, 1e-3, &mut rng).unwrap();
+            let m = merge_union(parts.iter().map(Cow::Borrowed).collect(), 1e-3, &mut rng).unwrap();
             assert_eq!(m.size(), 4);
             for (v, _) in m.histogram().iter() {
                 incl[*v as usize] += 1;
@@ -1305,22 +1324,7 @@ mod tests {
         let exp = vec![expect; 80];
         let stat = chi_square_statistic(&incl, &exp);
         let pv = chi_square_p_value(stat, 79.0);
-        assert!(
-            pv > 1e-4,
-            "cached pair not uniform: chi2={stat:.1} p={pv:.2e}"
-        );
-    }
-
-    #[test]
-    fn hypergeometric_cache_builds_one_table_per_key() {
-        let mut rng = seeded_rng(26);
-        let mut cache = HypergeometricCache::new();
-        assert!(cache.is_empty());
-        for _ in 0..10 {
-            assert!(cache.split(1_000, 1_000, 16, &mut rng) <= 16);
-            assert!(cache.split(2_000, 2_000, 16, &mut rng) <= 16);
-        }
-        assert_eq!(cache.len(), 2, "one alias table per (d1, d2, k)");
+        assert!(pv > 1e-4, "pair not uniform: chi2={stat:.1} p={pv:.2e}");
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //! [`plan_union`] compiles a union's input shapes into an explicit merge
 //! **DAG** ([`MergePlan`]) that the work-stealing executor
 //! ([`crate::executor`]) runs through [`crate::merge::run_union`]:
-//! exhaustive samples form the descending re-stream chain, equal-size
-//! simple-random siblings become alias-cached symmetric merges (§4.2), and
-//! runs of bounded samples become multiway hypergeometric nodes
-//! ([`crate::merge::hr_merge_multiway`]). Plans carry per-node costs
+//! exhaustive samples form the descending re-stream chain, leftover
+//! bounded pairs become pairwise merges, and runs of bounded samples become
+//! multiway hypergeometric nodes ([`crate::merge::hr_merge_multiway`]).
+//! Plans carry per-node costs
 //! ([`pair_cost`], in elements touched) so [`MergePlan::best_threads`] can
 //! pick a worker count from the *measured* cost model
 //! ([`crate::costmodel`]) when a snapshot is installed, falling back to the
@@ -61,7 +61,7 @@ pub const MAX_MULTIWAY_FAN_IN: usize = 16;
 
 /// Statistical provenance class of a (planned) sample: Bernoulli-phase
 /// hybrids merge by rate equalization, so the planner must not route them
-/// through the reservoir-only alias-cached path.
+/// through the reservoir-only multiway path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShapeKind {
     /// Exhaustive histogram of its partition.
@@ -191,15 +191,6 @@ pub enum PlanOp {
         /// Right child node index.
         right: usize,
     },
-    /// Alias-cached symmetric reservoir merge (§4.2): both children are
-    /// equal-size simple-random samples, so the hypergeometric split can be
-    /// served from a shared [`crate::merge::HypergeometricCache`].
-    CachedPair {
-        /// Left child node index.
-        left: usize,
-        /// Right child node index.
-        right: usize,
-    },
     /// Multiway hypergeometric merge
     /// ([`crate::merge::hr_merge_multiway`]) over 3..=[`MAX_MULTIWAY_FAN_IN`]
     /// bounded children.
@@ -220,7 +211,7 @@ pub struct PlanNode {
     pub shape: NodeShape,
     /// Abstract cost in elements touched (0 for leaves).
     pub cost: u64,
-    /// Rooted profile-scope path, e.g. `union/node/cp7` (empty for leaves).
+    /// Rooted profile-scope path, e.g. `union/node/pw7` (empty for leaves).
     pub label: String,
 }
 
@@ -256,10 +247,9 @@ pub struct MergePlan {
 ///   [`MAX_MULTIWAY_FAN_IN`] children — one multivariate hypergeometric
 ///   draw replaces `fan_in - 1` pairwise redistributions, which is where
 ///   the plan's serial work reduction over the fold comes from; a
-///   leftover reservoir pair merges pairwise, through the shared alias
-///   cache (`cp*`) when the siblings are equal-size and plain (`pw*`)
-///   otherwise; a level of mutually unmergeable singles (e.g. reservoir
-///   next to Bernoulli) merges its two smallest via the standard dispatch;
+///   leftover reservoir pair merges pairwise (`pw*`); a level of mutually
+///   unmergeable singles (e.g. reservoir next to Bernoulli) merges its two
+///   smallest via the standard dispatch;
 /// - the bounded root and the exhaustive chain combine in a final `rs`
 ///   pair (bounded side left, so the exhaustive side is re-streamed).
 ///
@@ -282,19 +272,13 @@ pub fn plan_union(shapes: &[NodeShape], n_f: u64) -> MergePlan {
         nodes: &mut Vec<PlanNode>,
         left: usize,
         right: usize,
-        cached: bool,
         prefix: &str,
         n_f: u64,
     ) -> usize {
         let (a, b) = (nodes[left].shape, nodes[right].shape);
         let idx = nodes.len();
-        let op = if cached {
-            PlanOp::CachedPair { left, right }
-        } else {
-            PlanOp::Pair { left, right }
-        };
         nodes.push(PlanNode {
-            op,
+            op: PlanOp::Pair { left, right },
             shape: a.merged_with(b, n_f),
             cost: pair_cost(a.size, a.exhaustive(), b.size, b.exhaustive()),
             label: format!("union/node/{prefix}{idx}"),
@@ -336,7 +320,7 @@ pub fn plan_union(shapes: &[NodeShape], n_f: u64) -> MergePlan {
     for i in exhaustive {
         chain = Some(match chain {
             None => i,
-            Some(acc) => push_pair(&mut nodes, acc, i, false, "rs", n_f),
+            Some(acc) => push_pair(&mut nodes, acc, i, "rs", n_f),
         });
     }
 
@@ -354,7 +338,7 @@ pub fn plan_union(shapes: &[NodeShape], n_f: u64) -> MergePlan {
             let mut iter = level.into_iter();
             while let Some(a) = iter.next() {
                 match iter.next() {
-                    Some(b) => next.push(push_pair(&mut nodes, a, b, false, "pw", n_f)),
+                    Some(b) => next.push(push_pair(&mut nodes, a, b, "pw", n_f)),
                     None => next.push(a),
                 }
             }
@@ -362,9 +346,8 @@ pub fn plan_union(shapes: &[NodeShape], n_f: u64) -> MergePlan {
         }
     } else {
         while level.len() > 1 {
-            // Sort by (size, index) so reservoir runs and equal-size
-            // siblings are adjacent; ties break on node index for
-            // determinism.
+            // Sort by (size, index) so reservoir runs are adjacent; ties
+            // break on node index for determinism.
             level.sort_by_key(|&i| (nodes[i].shape.size, i));
             let mut next = Vec::with_capacity(level.len());
             let mut merged_any = false;
@@ -381,10 +364,7 @@ pub fn plan_union(shapes: &[NodeShape], n_f: u64) -> MergePlan {
                     merged_any = true;
                     j += take;
                 } else if run == 2 {
-                    let (a, b) = (level[j], level[j + 1]);
-                    let cached = nodes[a].shape.size == nodes[b].shape.size;
-                    let prefix = if cached { "cp" } else { "pw" };
-                    next.push(push_pair(&mut nodes, a, b, cached, prefix, n_f));
+                    next.push(push_pair(&mut nodes, level[j], level[j + 1], "pw", n_f));
                     merged_any = true;
                     j += 2;
                 } else {
@@ -397,7 +377,7 @@ pub fn plan_union(shapes: &[NodeShape], n_f: u64) -> MergePlan {
                 // a reservoir node next to a Bernoulli node): merge the
                 // two smallest via the standard dispatch.
                 if let [a, b, ..] = *next.as_slice() {
-                    let merged = push_pair(&mut nodes, a, b, false, "pw", n_f);
+                    let merged = push_pair(&mut nodes, a, b, "pw", n_f);
                     next.splice(0..2, [merged]);
                 }
             }
@@ -409,7 +389,7 @@ pub fn plan_union(shapes: &[NodeShape], n_f: u64) -> MergePlan {
     let root = match (chain, bounded_root) {
         // Bounded side left, exhaustive side right: the final
         // `merge(bounded, exhaustive)` re-streams the exhaustive side.
-        (Some(c), Some(b)) => push_pair(&mut nodes, b, c, false, "rs", n_f),
+        (Some(c), Some(b)) => push_pair(&mut nodes, b, c, "rs", n_f),
         (Some(c), None) => c,
         (None, Some(b)) => b,
         (None, None) => unreachable!("input was non-empty"),
@@ -422,9 +402,7 @@ impl MergePlan {
     pub fn children(&self, i: usize) -> Vec<usize> {
         match &self.nodes[i].op {
             PlanOp::Leaf { .. } => Vec::new(),
-            PlanOp::Pair { left, right } | PlanOp::CachedPair { left, right } => {
-                vec![*left, *right]
-            }
+            PlanOp::Pair { left, right } => vec![*left, *right],
             PlanOp::Multiway { children } => children.clone(),
         }
     }
@@ -606,25 +584,24 @@ mod tests {
     }
 
     #[test]
-    fn leftover_equal_pair_uses_the_alias_cache() {
+    fn leftover_equal_pair_merges_pairwise() {
         // 18 equal reservoirs: one fan-in-16 multiway plus the leftover
-        // equal-size pair through the shared alias cache, then the two
-        // equal outputs pair through the cache again at the root.
+        // equal-size pair, then the two equal outputs pair at the root.
         let shapes = vec![reservoir_shape(512); 18];
         let plan = plan_union(&shapes, 512);
         assert_eq!(plan.merge_node_count(), 3);
-        let cached = plan
+        let pairs = plan
             .nodes
             .iter()
-            .filter(|n| matches!(n.op, PlanOp::CachedPair { .. }))
+            .filter(|n| matches!(n.op, PlanOp::Pair { .. }))
             .count();
         let multiway = plan
             .nodes
             .iter()
             .filter(|n| matches!(n.op, PlanOp::Multiway { .. }))
             .count();
-        assert_eq!((cached, multiway), (2, 1));
-        assert!(plan.nodes[plan.root].label.starts_with("union/node/cp"));
+        assert_eq!((pairs, multiway), (2, 1));
+        assert!(plan.nodes[plan.root].label.starts_with("union/node/pw"));
     }
 
     #[test]
@@ -705,7 +682,7 @@ mod tests {
 
     #[test]
     fn best_threads_scales_with_work() {
-        // 64 large reservoirs: plenty of independent cached pairs → a pool
+        // 64 large reservoirs: four independent multiway nodes → a pool
         // pays off under the element-cost fallback.
         let big = plan_union(&vec![reservoir_shape(8192); 64], 8192);
         assert!(big.best_threads(8, None) > 1);

@@ -1,19 +1,22 @@
-//! The purge operators of Figs. 3 and 4: subsample a compact histogram in
-//! place, without ever expanding it to a bag.
+//! The purge operators of Figs. 3 and 4: subsample a compact histogram
+//! without ever expanding it to a bag.
 //!
-//! * [`purge_bernoulli`] takes a `Bern(q)` subsample by thinning each
-//!   `(value, count)` pair with a binomial draw (Fig. 3).
+//! * [`purge_bernoulli`] takes a `Bern(q)` subsample in place by thinning
+//!   each `(value, count)` pair with a binomial draw (Fig. 3).
 //! * [`purge_reservoir`] takes a simple random subsample of a given size by
 //!   streaming reservoir sampling over the (implicitly expanded) pairs,
 //!   using the skip function and count-weighted victim selection (Fig. 4).
 //!   Victim lookup uses a Fenwick tree over the in-progress counts, so each
-//!   eviction costs `O(log #pairs)` instead of the figure's linear scan.
+//!   eviction costs `O(log #pairs)` instead of the figure's linear scan. It
+//!   reads its input and returns the subsample, so a merge can subsample a
+//!   shared sample without copying it first.
 
 use crate::histogram::CompactHistogram;
 use crate::invariant::invariant;
 use crate::value::SampleValue;
 use rand::Rng;
 use swh_rand::binomial::BinomialRate;
+use swh_rand::checked::index_u64;
 use swh_rand::skip::ReservoirSkip;
 
 /// Fig. 3 — `purgeBernoulli(S, q)`: replace each count `n` with a
@@ -36,25 +39,24 @@ pub fn purge_bernoulli<T: SampleValue, R: Rng + ?Sized>(
     hist.transform_counts(|_, n| rate.sample(rng, n));
 }
 
-/// Fig. 4 — `purgeReservoir(S, M)`: take a simple random subsample of
-/// exactly `m` data elements (no-op when `|S| ≤ m`), keeping `S` in compact
-/// form throughout.
+/// Fig. 4 — `purgeReservoir(S, M)`: a simple random subsample of exactly
+/// `m` data elements of `hist` (a copy of it when `|S| ≤ m`), built in
+/// compact form throughout. Only the surviving values are cloned.
+#[must_use = "the subsample is returned; the input is left as it was"]
 pub fn purge_reservoir<T: SampleValue, R: Rng + ?Sized>(
-    hist: &mut CompactHistogram<T>,
+    hist: &CompactHistogram<T>,
     m: u64,
     rng: &mut R,
-) {
-    let total = hist.total();
-    if total <= m {
-        return;
+) -> CompactHistogram<T> {
+    if hist.total() <= m {
+        return hist.clone();
     }
     if m == 0 {
-        hist.transform_counts(|_, _| 0);
-        return;
+        return CompactHistogram::new();
     }
     // Snapshot the pairs; the stream order is the (arbitrary but fixed)
     // iteration order, which does not affect uniformity.
-    let pairs: Vec<(T, u64)> = hist.iter().map(|(v, c)| (v.clone(), c)).collect();
+    let pairs: Vec<(&T, u64)> = hist.iter().collect();
     let mut new_counts = vec![0u64; pairs.len()];
     let mut tree = Fenwick::new(pairs.len());
 
@@ -86,20 +88,21 @@ pub fn purge_reservoir<T: SampleValue, R: Rng + ?Sized>(
     }
     debug_assert_eq!(level, m);
 
-    // Rebuild the histogram from the snapshot with the new counts.
-    let mut out = CompactHistogram::new();
+    // Build the subsample from the survivors, reserved for exactly their
+    // number of distinct values (at most `m`).
+    let kept = new_counts.iter().filter(|&&n| n > 0).count();
+    let mut out = CompactHistogram::with_slot_capacity(index_u64(kept));
     for ((v, _), n) in pairs.into_iter().zip(new_counts) {
         if n > 0 {
-            out.insert_count(v, n);
+            out.insert_count(v.clone(), n);
         }
     }
-    debug_assert_eq!(out.total(), m);
-    *hist = out;
     invariant!(
-        hist.total() <= m,
-        "purgeReservoir left {} elements, bound was {m}",
-        hist.total()
+        out.total() == m,
+        "purgeReservoir kept {} elements, the target was {m}",
+        out.total()
     );
+    out
 }
 
 /// Fenwick (binary indexed) tree over pair counts, supporting point update
@@ -227,7 +230,7 @@ mod tests {
             for v in 0..20u64 {
                 h.insert_count(v, 5);
             }
-            purge_reservoir(&mut h, m, &mut rng);
+            let h = purge_reservoir(&h, m, &mut rng);
             assert_eq!(h.total(), m, "m={m}");
             // Rebuild check.
             let rebuilt = CompactHistogram::from_bag(h.expand());
@@ -237,17 +240,14 @@ mod tests {
 
     #[test]
     fn reservoir_purge_noop_when_small() {
-        let mut h = CompactHistogram::from_bag(vec![1u64, 2, 2]);
-        let before = h.clone();
-        purge_reservoir(&mut h, 10, &mut seeded_rng(1));
-        assert_eq!(h, before);
+        let h = CompactHistogram::from_bag(vec![1u64, 2, 2]);
+        assert_eq!(purge_reservoir(&h, 10, &mut seeded_rng(1)), h);
     }
 
     #[test]
     fn reservoir_purge_to_zero() {
-        let mut h = CompactHistogram::from_bag(vec![1u64, 2, 2]);
-        purge_reservoir(&mut h, 0, &mut seeded_rng(1));
-        assert!(h.is_empty());
+        let h = CompactHistogram::from_bag(vec![1u64, 2, 2]);
+        assert!(purge_reservoir(&h, 0, &mut seeded_rng(1)).is_empty());
     }
 
     #[test]
@@ -256,10 +256,9 @@ mod tests {
         let mut h = CompactHistogram::new();
         h.insert_count(1u64, 10);
         h.insert_count(2u64, 3);
-        let orig = h.clone();
-        purge_reservoir(&mut h, 6, &mut rng);
-        for (v, c) in h.iter() {
-            assert!(c <= orig.count(v), "count inflated for {v:?}");
+        let sub = purge_reservoir(&h, 6, &mut rng);
+        for (v, c) in sub.iter() {
+            assert!(c <= h.count(v), "count inflated for {v:?}");
         }
     }
 
@@ -271,9 +270,8 @@ mod tests {
         let trials = 20_000usize;
         let mut incl = [0u64; 20];
         for _ in 0..trials {
-            let mut h = CompactHistogram::from_bag((0..20u64).collect::<Vec<_>>());
-            purge_reservoir(&mut h, 10, &mut rng);
-            for (v, c) in h.iter() {
+            let h = CompactHistogram::from_bag((0..20u64).collect::<Vec<_>>());
+            for (v, c) in purge_reservoir(&h, 10, &mut rng).iter() {
                 assert_eq!(c, 1);
                 incl[*v as usize] += 1;
             }
@@ -296,8 +294,7 @@ mod tests {
             let mut h = CompactHistogram::new();
             h.insert_count(0u64, 3);
             h.insert_count(1u64, 1);
-            purge_reservoir(&mut h, 2, &mut rng);
-            if h.count(&1) == 1 {
+            if purge_reservoir(&h, 2, &mut rng).count(&1) == 1 {
                 b_present += 1;
             }
         }

@@ -247,8 +247,7 @@ impl<T: SampleValue> Sample<T> {
             !matches!(self.kind, SampleKind::Concise { .. }),
             "subsampling a non-uniform concise sample does not yield a uniform sample"
         );
-        let mut hist = self.hist.clone();
-        crate::purge::purge_reservoir(&mut hist, k, rng);
+        let hist = crate::purge::purge_reservoir(&self.hist, k, rng);
         let kind = if self.kind == SampleKind::Exhaustive && hist.total() == self.parent_size {
             SampleKind::Exhaustive
         } else {

@@ -14,16 +14,18 @@ use std::hash::Hash;
 /// * `Ord` — deterministic iteration order for reproducible experiments and
 ///   canonical serialized form;
 /// * `Clone` — values move between compact and expanded representations;
-/// * `Send + 'static` — partitions are sampled on parallel threads.
+/// * `Send + 'static` — partitions are sampled on parallel threads;
+/// * `Sync` — the union engine's workers read shared input samples in
+///   place instead of copying them.
 ///
 /// The footprint model (see [`crate::footprint::FootprintPolicy`]) assumes
 /// fixed-width values, matching the paper's accounting where a bound of `F`
 /// bytes corresponds to exactly `n_F` data-element values. Variable-width
 /// types (e.g. `String`) can still be sampled; the bound is then interpreted
 /// in value slots rather than bytes.
-pub trait SampleValue: Clone + Eq + Hash + Ord + Debug + Send + 'static {}
+pub trait SampleValue: Clone + Eq + Hash + Ord + Debug + Send + Sync + 'static {}
 
-impl<T: Clone + Eq + Hash + Ord + Debug + Send + 'static> SampleValue for T {}
+impl<T: Clone + Eq + Hash + Ord + Debug + Send + Sync + 'static> SampleValue for T {}
 
 #[cfg(test)]
 mod tests {

@@ -43,7 +43,8 @@ fn union_of_64_partitions_yields_one_profile_node_per_plan_node() {
     profile::set_enabled(true);
     profile::reset();
     let wall = Stopwatch::start();
-    let merged = merge_tree_parallel(parts, 1e-3, 1, &mut rng).expect("union merges");
+    let leaves = parts.into_iter().map(std::borrow::Cow::Owned).collect();
+    let merged = merge_tree_parallel(leaves, 1e-3, 1, &mut rng).expect("union merges");
     let wall_ns = wall.elapsed_ns();
     profile::set_enabled(false);
     assert_eq!(merged.parent_size(), PARTS * PER_PART);

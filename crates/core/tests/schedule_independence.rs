@@ -4,6 +4,7 @@
 //! steal orders differ) — and a planner-driven multiway union remains
 //! statistically uniform.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use swh_core::merge::merge_tree_parallel;
 use swh_core::planner::{plan_union, NodeShape, PlanOp};
@@ -18,8 +19,8 @@ fn policy(n_f: u64) -> FootprintPolicy {
     FootprintPolicy::with_value_budget(n_f)
 }
 
-/// A shape-diverse union input: equal-size reservoirs (alias-cached
-/// pairs), distinct-size reservoirs (multiway fan-in), small exhaustive
+/// A shape-diverse union input: equal-size reservoirs (multiway fan-in
+/// plus a leftover pair), distinct-size reservoirs, small exhaustive
 /// partitions (re-stream chain), and Bernoulli-phase hybrids (pairwise
 /// rate equalization). Deterministic: every call builds the same samples.
 fn mixed_partitions(n_f: u64) -> Vec<Sample<u64>> {
@@ -27,7 +28,7 @@ fn mixed_partitions(n_f: u64) -> Vec<Sample<u64>> {
     let mut parts = Vec::new();
     // Eighteen equal-size reservoir partitions (all at the `n_f` cap, the
     // largest bounded size, so they sort adjacent): one fan-in-16 multiway
-    // forms plus a leftover equal pair through the alias cache.
+    // forms plus a leftover equal pair.
     for p in 0..18u64 {
         let lo = p * 4_000;
         parts.push(HybridReservoir::new(policy(n_f)).sample_batch(lo..lo + 4_000, &mut rng));
@@ -67,11 +68,10 @@ fn mixed_plan_exercises_every_operator() {
         .map(|n| match &n.op {
             PlanOp::Leaf { .. } => "leaf",
             PlanOp::Pair { .. } => "pair",
-            PlanOp::CachedPair { .. } => "cached",
             PlanOp::Multiway { .. } => "multiway",
         })
         .collect();
-    for op in ["leaf", "pair", "cached", "multiway"] {
+    for op in ["leaf", "pair", "multiway"] {
         assert!(ops.contains(op), "plan never uses {op}: {ops:?}");
     }
 }
@@ -81,7 +81,8 @@ fn union_is_byte_identical_across_thread_counts_and_runs() {
     let parts = mixed_partitions(64);
     let run = |threads: usize| {
         let mut rng = seeded_rng(911);
-        merge_tree_parallel(parts.clone(), 1e-3, threads, &mut rng).expect("union merges")
+        let leaves = parts.iter().map(Cow::Borrowed).collect();
+        merge_tree_parallel(leaves, 1e-3, threads, &mut rng).expect("union merges")
     };
     let reference = run(1);
     // Mixed provenance (exhaustive, Bernoulli and reservoir inputs) still
@@ -96,6 +97,31 @@ fn union_is_byte_identical_across_thread_counts_and_runs() {
     for rep in 0..5 {
         assert_eq!(run(8), reference, "repetition {rep} diverged");
     }
+}
+
+#[test]
+fn owned_and_borrowed_leaves_union_identically() {
+    // Lending the leaves only saves their copies: the same caller RNG
+    // state gives the same union either way, and the lent samples are
+    // untouched.
+    let parts = mixed_partitions(64);
+    let before = parts.clone();
+    let borrowed = merge_tree_parallel(
+        parts.iter().map(Cow::Borrowed).collect(),
+        1e-3,
+        2,
+        &mut seeded_rng(912),
+    )
+    .expect("union merges");
+    assert_eq!(parts, before, "a borrowed leaf changed");
+    let owned = merge_tree_parallel(
+        parts.into_iter().map(Cow::Owned).collect(),
+        1e-3,
+        2,
+        &mut seeded_rng(912),
+    )
+    .expect("union merges");
+    assert_eq!(borrowed, owned);
 }
 
 #[test]
@@ -130,7 +156,8 @@ fn planner_driven_multiway_union_is_uniform() {
     let mut incl = vec![0u64; 40];
     let mut rng = seeded_rng(7);
     for _ in 0..trials {
-        let m = merge_tree_parallel(build(), 1e-3, 2, &mut rng).expect("union merges");
+        let leaves = build().into_iter().map(Cow::Owned).collect();
+        let m = merge_tree_parallel(leaves, 1e-3, 2, &mut rng).expect("union merges");
         assert_eq!(m.size(), 6, "multiway k = min sample size");
         assert_eq!(m.parent_size(), 40);
         for (v, c) in m.histogram().iter() {

@@ -15,20 +15,112 @@
 //! P(l+1) = (k−l)(|D1|−l) / ((l+1)(|D2|−k+l+1)) · P(l)
 //! ```
 //!
-//! which we evaluate in log space for numerical robustness and then
-//! normalize. Sampling is offered via inversion (the paper's default) or via
-//! a Walker/Vose [`AliasTable`] for the repeated-symmetric-merge scenario the
-//! paper describes in §4.2.
+//! [`draw`] — the split sampler every merge uses — evaluates it outward
+//! from the mode over only the window that carries the mass, so one draw
+//! costs `O(√k)`, not `O(k)`. [`Hypergeometric`] tabulates the whole pmf in
+//! log space (inversion or a Walker/Vose [`AliasTable`] over it) for tests
+//! and benchmarks that need the full distribution.
 
 use crate::alias::AliasTable;
 use crate::checked::{as_index, exact_f64, index_u64};
 use crate::stats::ln_choose;
 use rand::Rng;
 
+/// Smallest term, relative to the mode's, that [`draw`]'s window keeps:
+/// 2⁻⁶⁴. The pmf is unimodal, so every term beyond the first one below
+/// this is smaller still, and the dropped tails never weigh more than a
+/// rounding error of the inversion.
+const WINDOW_FLOOR: f64 = 1.0 / 18_446_744_073_709_551_616.0;
+
+/// Draw the split `L` of Eq. (2) — how many of a simple random sample of
+/// size `k` from `D1 ∪ D2` fall in `D1`, with `d1 = |D1|`, `d2 = |D2|` —
+/// in time proportional to the distribution's spread (`O(√k)`), not its
+/// support.
+///
+/// Starting from the mode, the Eq. (3) recurrence is evaluated outward on
+/// both sides until the terms fall below 2⁻⁶⁴ of the mode's; that window is
+/// normalized and inverted with one uniform, the same single uniform
+/// [`Hypergeometric::sample`] consumes. With the same uniform both invert
+/// the same cumulative distribution up to the dropped tails, so a seeded
+/// split practically never differs between the two.
+///
+/// ```
+/// use swh_rand::{hypergeometric::draw, seeded_rng};
+///
+/// let mut rng = seeded_rng(7);
+/// let l = draw(1 << 26, 1 << 26, 8192, &mut rng);
+/// assert!(l <= 8192);
+/// // A degenerate support has one outcome.
+/// assert_eq!(draw(6, 4, 10, &mut rng), 6);
+/// ```
+///
+/// # Panics
+/// Panics if `k > d1 + d2`, or if a count exceeds 2⁵³.
+pub fn draw<R: Rng + ?Sized>(d1: u64, d2: u64, k: u64, rng: &mut R) -> u64 {
+    assert!(
+        k <= d1 + d2,
+        "merged size k={k} exceeds population {d1}+{d2}"
+    );
+    let u = rng.random::<f64>();
+    // Feasible support: max(0, k - d2) ..= min(k, d1).
+    let lo = k.saturating_sub(d2);
+    let hi = k.min(d1);
+    if lo == hi {
+        return lo;
+    }
+    // Eq. (3): P(l+1)/P(l), positive for lo <= l < hi.
+    let ratio = |l: u64| {
+        exact_f64(k - l) * exact_f64(d1 - l) / (exact_f64(l + 1) * exact_f64(d2 + l + 1 - k))
+    };
+    // The mode floor((k+1)(d1+1)/(d1+d2+2)), in u128 so the product cannot
+    // overflow; it never exceeds k + 1, so it fits back in a u64.
+    let mode = (u128::from(k) + 1) * (u128::from(d1) + 1) / (u128::from(d1) + u128::from(d2) + 2);
+    let mode = u64::try_from(mode).map_or(hi, |m| m.clamp(lo, hi));
+    // Terms relative to the mode's, left tail first (pushed outward, then
+    // reversed into support order).
+    let mut terms = Vec::new();
+    let (mut t, mut l) = (1.0f64, mode);
+    while l > lo {
+        t /= ratio(l - 1);
+        if t < WINDOW_FLOOR {
+            break;
+        }
+        terms.push(t);
+        l -= 1;
+    }
+    let first = l;
+    terms.reverse();
+    terms.push(1.0);
+    let (mut t, mut l) = (1.0f64, mode);
+    while l < hi {
+        t *= ratio(l);
+        if t < WINDOW_FLOOR {
+            break;
+        }
+        terms.push(t);
+        l += 1;
+    }
+    // Invert: the first l whose cumulative mass reaches u of the window's.
+    // Summing in the same order as the scan makes the last cumulative value
+    // equal the total exactly, so the scan always stops inside the window.
+    let target = u * terms.iter().sum::<f64>();
+    let mut acc = 0.0;
+    for (i, &t) in terms.iter().enumerate() {
+        acc += t;
+        if acc >= target {
+            return first + index_u64(i);
+        }
+    }
+    first + index_u64(terms.len() - 1)
+}
+
 /// Precomputed hypergeometric distribution `P(l)`, `l = 0..=k`.
 ///
 /// Parameters mirror the paper's notation: `d1 = |D1|`, `d2 = |D2|`, and `k`
-/// is the merged sample size with `k ≤ d1 + d2`.
+/// is the merged sample size with `k ≤ d1 + d2`. Building the table costs
+/// one `ln` and one `exp` per support point, so merges draw their splits
+/// with [`draw`] instead; the table serves tests and benchmarks that need
+/// the whole pmf, and the alias method.
 ///
 /// ```
 /// use swh_rand::{seeded_rng, Hypergeometric};
@@ -171,6 +263,8 @@ impl Hypergeometric {
 /// Generalizes Eq. (2) to `m`-way merges: `L_i` counts how many of the `k`
 /// merged elements come from group `i`. Sampled by the chain rule —
 /// `L_1 ~ HG(N_1, N_2 + ... + N_m, k)`, then `L_2` from the remainder, etc.
+/// — with one [`draw`] per group, so a 16-way split costs 15 windowed
+/// draws, not 15 full pmf tables.
 ///
 /// # Panics
 /// Panics if `k` exceeds the total population.
@@ -191,7 +285,7 @@ pub fn sample_multivariate<R: Rng + ?Sized>(rng: &mut R, populations: &[u64], k:
             out.push(remaining_k);
             break;
         }
-        let l = Hypergeometric::new(n_i, rest, remaining_k).sample(rng);
+        let l = draw(n_i, rest, remaining_k, rng);
         out.push(l);
         remaining_k -= l;
         remaining_total = rest;
@@ -450,6 +544,124 @@ mod tests {
         let stat = chi_square_statistic(&obs, &exp);
         let pv = chi_square_p_value(stat, (obs.len() - 1) as f64);
         assert!(pv > 1e-4, "joint pmf mismatch: chi2={stat:.1} p={pv:.2e}");
+    }
+
+    /// χ² p-value of `counts` (indexed by `l`) against the pmf `probs` over
+    /// `trials` draws, pooling adjacent cells until each expects ≥ 5.
+    fn fit_p_value(counts: &[u64], probs: &[f64], trials: usize) -> f64 {
+        let mut obs = Vec::new();
+        let mut exp = Vec::new();
+        let (mut po, mut pe) = (0u64, 0.0f64);
+        for (l, &p) in probs.iter().enumerate() {
+            po += counts.get(l).copied().unwrap_or(0);
+            pe += p * trials as f64;
+            if pe >= 5.0 {
+                obs.push(po);
+                exp.push(pe);
+                po = 0;
+                pe = 0.0;
+            }
+        }
+        assert!(!obs.is_empty(), "no cell expects 5 draws");
+        *obs.last_mut().unwrap() += po;
+        *exp.last_mut().unwrap() += pe;
+        if obs.len() < 2 {
+            // One pooled cell: the fit is exact iff every draw landed in it.
+            return if obs[0] == trials as u64 { 1.0 } else { 0.0 };
+        }
+        let stat = chi_square_statistic(&obs, &exp);
+        chi_square_p_value(stat, (obs.len() - 1) as f64)
+    }
+
+    #[test]
+    fn draw_matches_eq2_across_the_parameter_grid() {
+        // Degenerate supports (lo == hi): k = 0, k = d1 + d2, an empty side.
+        let mut rng = seeded_rng(71);
+        for &(d1, d2, k, only) in &[
+            (12u64, 7u64, 0u64, 0u64),
+            (6, 4, 10, 6),
+            (0, 8, 3, 0),
+            (8, 0, 3, 3),
+            (1, 1, 2, 1),
+        ] {
+            for _ in 0..200 {
+                assert_eq!(draw(d1, d2, k, &mut rng), only, "({d1},{d2},{k})");
+            }
+        }
+        // Wide and narrow supports, against Eq. (2) as tabulated by the
+        // log-space recurrence (itself checked against the direct formula
+        // above): d1 = 1, a support pinned near hi, a tiny D1 beside a huge
+        // D2, d2 ≥ 2⁴⁰, and the paper's k = 8192 over 2²⁶-row partitions.
+        let trials = 20_000usize;
+        for &(d1, d2, k) in &[
+            (1u64, 99u64, 10u64),
+            (30, 50, 20),
+            (1_000, 3, 500),
+            (5_000, 1 << 40, 100_000),
+            (1 << 40, 1 << 41, 8_192),
+            (1 << 26, 1 << 26, 8_192),
+            (20_000, 12_000, 8_192),
+        ] {
+            let h = Hypergeometric::new(d1, d2, k);
+            let mut counts = vec![0u64; (k + 1) as usize];
+            for _ in 0..trials {
+                let l = draw(d1, d2, k, &mut rng);
+                assert!(l <= k.min(d1) && k - l <= d2, "({d1},{d2},{k}) drew {l}");
+                counts[l as usize] += 1;
+            }
+            let pv = fit_p_value(&counts, h.probs(), trials);
+            assert!(pv > 1e-4, "({d1},{d2},{k}): p={pv:.2e}");
+        }
+    }
+
+    #[test]
+    fn draw_inverts_the_same_cdf_as_the_table() {
+        // Same uniform, same split: the window drops only mass below 2^-64
+        // of the mode's, so seeded splits agree with table inversion.
+        for &(d1, d2, k) in &[(30u64, 50u64, 20u64), (1 << 26, 1 << 26, 8_192), (7, 3, 9)] {
+            let h = Hypergeometric::new(d1, d2, k);
+            let (mut a, mut b) = (seeded_rng(5), seeded_rng(5));
+            for _ in 0..2_000 {
+                assert_eq!(draw(d1, d2, k, &mut a), h.sample(&mut b), "({d1},{d2},{k})");
+            }
+        }
+    }
+
+    #[test]
+    fn multivariate_marginals_match_eq2_for_sixteen_groups() {
+        // Each L_i of a multivariate hypergeometric draw is HG(N_i, N - N_i,
+        // k), and so is any group union: check all 16 marginals and the
+        // first eight groups' sum.
+        let pops: Vec<u64> = (0..16u64).map(|i| 40 + 23 * i + (i % 3) * 100).collect();
+        let total: u64 = pops.iter().sum();
+        let k = 64u64;
+        let trials = 20_000usize;
+        let mut rng = seeded_rng(72);
+        let mut marginal = vec![vec![0u64; (k + 1) as usize]; pops.len()];
+        let mut first_half = vec![0u64; (k + 1) as usize];
+        for _ in 0..trials {
+            let l = sample_multivariate(&mut rng, &pops, k);
+            assert_eq!(l.iter().sum::<u64>(), k);
+            for (i, &li) in l.iter().enumerate() {
+                marginal[i][li as usize] += 1;
+            }
+            first_half[l[..8].iter().sum::<u64>() as usize] += 1;
+        }
+        for (i, counts) in marginal.iter().enumerate() {
+            let h = Hypergeometric::new(pops[i], total - pops[i], k);
+            let pv = fit_p_value(counts, h.probs(), trials);
+            assert!(pv > 1e-4, "group {i} marginal: p={pv:.2e}");
+        }
+        let half: u64 = pops[..8].iter().sum();
+        let h = Hypergeometric::new(half, total - half, k);
+        let pv = fit_p_value(&first_half, h.probs(), trials);
+        assert!(pv > 1e-4, "first-half sum: p={pv:.2e}");
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds population")]
+    fn draw_rejects_oversized_k() {
+        draw(3, 3, 7, &mut seeded_rng(1));
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use crate::ids::{DatasetId, PartitionId, PartitionKey};
 use crate::lifecycle::{CacheKey, UnionCache};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::{Arc, PoisonError, RwLock};
 use swh_core::merge::MergeError;
@@ -16,8 +17,9 @@ use swh_core::value::SampleValue;
 /// A rolled-in partition sample plus bookkeeping.
 #[derive(Debug, Clone)]
 pub struct PartitionEntry<T: SampleValue> {
-    /// The uniform partition sample.
-    pub sample: Sample<T>,
+    /// The uniform partition sample, shared with any union or compaction
+    /// reading it (a resident sample is never modified in place).
+    pub sample: Arc<Sample<T>>,
     /// Monotonic roll-in sequence number (warehouse-wide).
     pub rolled_in_at: u64,
 }
@@ -60,10 +62,11 @@ impl From<MergeError> for CatalogError {
 /// Concurrent registry mapping `(dataset, partition)` to samples.
 ///
 /// Reads (selection, merging into query samples) take a shared lock;
-/// roll-in/roll-out take the exclusive lock briefly. Merging clones the
-/// selected samples out of the catalog so the lock is never held across the
-/// merge computation; a merged-union cache hit clones nothing but the
-/// cached result.
+/// roll-in/roll-out take the exclusive lock briefly. Samples are stored
+/// behind [`Arc`]s: a union snapshots the selected `Arc`s under the read
+/// lock and merges over them as borrowed leaves after releasing it, so the
+/// lock is never held across the merge and no selected sample is copied.
+/// A merged-union cache hit clones nothing but the cached result.
 ///
 /// ```
 /// use swh_core::{FootprintPolicy, HybridReservoir, Sampler};
@@ -213,7 +216,7 @@ impl<T: SampleValue> Catalog<T> {
         ds.insert(
             key.partition,
             PartitionEntry {
-                sample,
+                sample: Arc::new(sample),
                 rolled_in_at: *seq,
             },
         );
@@ -256,14 +259,94 @@ impl<T: SampleValue> Catalog<T> {
         Ok(entry)
     }
 
+    /// Replace partitions `inputs` of `dataset` by one partition `output`
+    /// holding `sample`: a compaction's roll-outs and roll-in as one
+    /// catalog transition, so no reader ever sees the inputs gone before
+    /// the roll-up is in. Counted, journaled and cache-invalidated exactly
+    /// as the roll-outs followed by the roll-in would be. Nothing changes
+    /// unless every input is resident and `output` is not.
+    pub(crate) fn replace(
+        &self,
+        dataset: DatasetId,
+        inputs: &[PartitionId],
+        output: PartitionId,
+        sample: Sample<T>,
+    ) -> Result<(), CatalogError> {
+        let mut map = self.inner.write().unwrap_or_else(PoisonError::into_inner);
+        let ds = map
+            .get_mut(&dataset)
+            .ok_or(CatalogError::UnknownDataset(dataset))?;
+        let key = |partition| PartitionKey { dataset, partition };
+        if let Some(p) = inputs.iter().find(|p| !ds.contains_key(p)) {
+            return Err(CatalogError::UnknownPartition(key(*p)));
+        }
+        if ds.contains_key(&output) {
+            return Err(CatalogError::DuplicatePartition(key(output)));
+        }
+        for p in inputs {
+            ds.remove(p);
+        }
+        let mut seq = self
+            .roll_seq
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        *seq += 1;
+        ds.insert(
+            output,
+            PartitionEntry {
+                sample: Arc::new(sample),
+                rolled_in_at: *seq,
+            },
+        );
+        drop(seq);
+        drop(map);
+        for p in inputs {
+            self.metrics.roll_outs.inc();
+            swh_obs::journal::record(
+                swh_obs::journal::EventKind::CatalogRollOut,
+                0,
+                0,
+                dataset.0,
+                p.seq,
+            );
+            self.invalidate_cache(dataset);
+        }
+        self.metrics.roll_ins.inc();
+        swh_obs::journal::record(
+            swh_obs::journal::EventKind::CatalogRollIn,
+            0,
+            0,
+            dataset.0,
+            output.seq,
+        );
+        self.invalidate_cache(dataset);
+        Ok(())
+    }
+
     /// Clone one partition's sample out of the catalog.
     pub fn get(&self, key: PartitionKey) -> Result<Sample<T>, CatalogError> {
         self.metrics.gets.inc();
         let map = self.inner.read().unwrap_or_else(PoisonError::into_inner);
         map.get(&key.dataset)
             .and_then(|ds| ds.get(&key.partition))
-            .map(|e| e.sample.clone())
+            .map(|e| Sample::clone(&e.sample))
             .ok_or(CatalogError::UnknownPartition(key))
+    }
+
+    /// The shared samples of partitions `ids` of `dataset`, in the given
+    /// order, snapshotted under one read lock: no sample is copied. Counts
+    /// one retrieval per partition, as [`Catalog::get`] does.
+    pub(crate) fn shared(
+        &self,
+        dataset: DatasetId,
+        ids: &[PartitionId],
+    ) -> Result<Vec<Arc<Sample<T>>>, CatalogError> {
+        self.metrics.gets.add(ids.len() as u64);
+        let map = self.inner.read().unwrap_or_else(PoisonError::into_inner);
+        let ds = map
+            .get(&dataset)
+            .ok_or(CatalogError::UnknownDataset(dataset))?;
+        pick(ds, dataset, ids)
     }
 
     /// All datasets currently present.
@@ -331,7 +414,7 @@ impl<T: SampleValue> Catalog<T> {
         let picked: Vec<Sample<T>> = ds
             .iter()
             .filter(|(id, _)| select(**id))
-            .map(|(_, e)| e.sample.clone())
+            .map(|(_, e)| Sample::clone(&e.sample))
             .collect();
         if picked.is_empty() {
             return Err(CatalogError::EmptySelection);
@@ -349,17 +432,19 @@ impl<T: SampleValue> Catalog<T> {
     /// vs. work/`t`, plus per-worker spawn cost — is lowest on this machine
     /// ([`swh_core::planner::MergePlan::machine_threads`]), and the DAG
     /// runs on the work-stealing executor ([`swh_core::merge::run_union`]),
-    /// inline when one worker wins. Per-node RNG streams make the result a
-    /// pure function of the selection and the caller's RNG — never of the
-    /// machine's thread count or steal order. The worker count is counted
-    /// as serial (`1`) or parallel (`> 1`).
+    /// inline when one worker wins. The selected samples are snapshotted as
+    /// shared `Arc`s under the read lock and lent to the engine as borrowed
+    /// leaves, so the union copies none of them. Per-node RNG streams make
+    /// the result a pure function of the selection and the caller's RNG —
+    /// never of the machine's thread count or steal order. The worker count
+    /// is counted as serial (`1`) or parallel (`> 1`).
     ///
     /// With a merged-union cache attached
     /// ([`Catalog::enable_union_cache`]), the exact selection is looked up
-    /// before any sample is cloned — a hit skips the copy and the merge —
-    /// and the merged result is offered back under the invalidation epoch
-    /// captured while the selection was snapshotted, so a roll-in/roll-out
-    /// racing the merge can never leave a stale entry behind.
+    /// before any merge — a hit skips the merge — and the merged result is
+    /// offered back under the invalidation epoch captured while the
+    /// selection was snapshotted, so a roll-in/roll-out racing the merge
+    /// can never leave a stale entry behind.
     pub fn union_sample<R: rand::Rng + ?Sized>(
         &self,
         dataset: DatasetId,
@@ -367,6 +452,28 @@ impl<T: SampleValue> Catalog<T> {
         p_bound: f64,
         rng: &mut R,
     ) -> Result<Sample<T>, CatalogError> {
+        self.union_of(
+            dataset,
+            |ids| Ok(ids.filter(|p| select(*p)).collect()),
+            p_bound,
+            rng,
+        )
+    }
+
+    /// [`Catalog::union_sample`] over the partitions `choose` picks, in
+    /// ascending order, from the dataset's ids (also ascending). `choose`
+    /// runs under the read lock that snapshots the picked samples, so the
+    /// selection and the samples merged over it describe one catalog
+    /// state: a roll-in, roll-out or compaction lands wholly before or
+    /// wholly after it. A picked id that is not resident is
+    /// [`CatalogError::UnknownPartition`].
+    pub(crate) fn union_of<E: From<CatalogError>, R: rand::Rng + ?Sized>(
+        &self,
+        dataset: DatasetId,
+        choose: impl FnOnce(PartitionIds<'_, T>) -> Result<Vec<PartitionId>, E>,
+        p_bound: f64,
+        rng: &mut R,
+    ) -> Result<Sample<T>, E> {
         self.metrics.selects.inc();
         let cache = self.union_cache();
         let (picked, cached_key, epoch) = {
@@ -374,20 +481,27 @@ impl<T: SampleValue> Catalog<T> {
             let ds = map
                 .get(&dataset)
                 .ok_or(CatalogError::UnknownDataset(dataset))?;
-            let picked: Vec<(&PartitionId, &PartitionEntry<T>)> =
-                ds.iter().filter(|(id, _)| select(**id)).collect();
-            let Some((_, first)) = picked.first() else {
-                return Err(CatalogError::EmptySelection);
+            let chosen = choose(ds.keys().copied())?;
+            debug_assert!(
+                chosen.is_sorted_by(|a, b| a < b),
+                "a selection lists distinct ids in ascending order"
+            );
+            let Some(&first) = chosen.first() else {
+                return Err(CatalogError::EmptySelection.into());
             };
             // Probe and epoch-capture happen under the read lock that
-            // snapshotted the selection: any mutation serializes either
+            // snapshots the selection: any mutation serializes either
             // before (we see its invalidation) or after (it bumps the
-            // epoch and our insert is refused). Samples are cloned only
-            // on a miss.
+            // epoch and our insert is refused). Samples are snapshotted
+            // only on a miss.
             let (key, epoch) = match &cache {
                 Some(c) => {
-                    let ids = picked.iter().map(|(id, _)| **id).collect();
-                    let key = CacheKey::new(dataset, ids, first.sample.policy().n_f(), p_bound);
+                    let unknown = CatalogError::UnknownPartition(PartitionKey {
+                        dataset,
+                        partition: first,
+                    });
+                    let n_f = ds.get(&first).ok_or(unknown)?.sample.policy().n_f();
+                    let key = CacheKey::new(dataset, chosen.clone(), n_f, p_bound);
                     if let Some(hit) = c.get(&key) {
                         return Ok(hit);
                     }
@@ -395,19 +509,20 @@ impl<T: SampleValue> Catalog<T> {
                 }
                 None => (None, 0),
             };
-            let picked: Vec<Sample<T>> = picked.iter().map(|(_, e)| e.sample.clone()).collect();
-            (picked, key, epoch)
+            (pick(ds, dataset, &chosen)?, key, epoch)
         };
         let scope = swh_obs::profile::scope_rooted("catalog/union_sample")
             .histogram(&self.metrics.merge_ns);
-        let plan = swh_core::merge::union_plan(&picked);
+        let leaves: Vec<Cow<'_, Sample<T>>> = picked.iter().map(|s| Cow::Borrowed(&**s)).collect();
+        let plan = swh_core::merge::union_plan(&leaves);
         let workers = plan.machine_threads();
         if workers > 1 {
             self.metrics.union_parallel.inc();
         } else {
             self.metrics.union_serial.inc();
         }
-        let merged = swh_core::merge::run_union(&plan, picked, p_bound, workers, rng)?;
+        let merged = swh_core::merge::run_union(&plan, leaves, p_bound, workers, rng)
+            .map_err(CatalogError::from)?;
         scope.end();
         self.metrics.union_merges.inc();
         if let (Some(c), Some(key)) = (&cache, cached_key) {
@@ -434,6 +549,29 @@ impl<T: SampleValue> Catalog<T> {
             rng,
         )
     }
+}
+
+/// A dataset's partition ids in ascending order, as a union's selection
+/// sees them (cheap to clone, for selections that scan more than once).
+pub(crate) type PartitionIds<'a, T> =
+    std::iter::Copied<std::collections::btree_map::Keys<'a, PartitionId, PartitionEntry<T>>>;
+
+/// The shared samples of `ids` in `ds` (dataset `dataset`), in order.
+fn pick<T: SampleValue>(
+    ds: &BTreeMap<PartitionId, PartitionEntry<T>>,
+    dataset: DatasetId,
+    ids: &[PartitionId],
+) -> Result<Vec<Arc<Sample<T>>>, CatalogError> {
+    ids.iter()
+        .map(|id| {
+            ds.get(id)
+                .map(|e| Arc::clone(&e.sample))
+                .ok_or(CatalogError::UnknownPartition(PartitionKey {
+                    dataset,
+                    partition: *id,
+                }))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -591,8 +729,13 @@ mod tests {
             .union_sample(DatasetId(1), |_| true, 1e-3, &mut seeded_rng(42))
             .unwrap();
         assert_eq!(s.parent_size(), 600);
-        let engine =
-            swh_core::merge::merge_tree_parallel(parts, 1e-3, 1, &mut seeded_rng(42)).unwrap();
+        let engine = swh_core::merge::merge_tree_parallel(
+            parts.into_iter().map(Cow::Owned).collect(),
+            1e-3,
+            1,
+            &mut seeded_rng(42),
+        )
+        .unwrap();
         assert_eq!(
             s, engine,
             "serial union differs from the engine at one thread"
@@ -608,6 +751,10 @@ mod tests {
 
     static CLONES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
+    /// Held by every test that reads [`CLONES`], so parallel tests do not
+    /// count each other's copies.
+    static COUNTING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     impl Clone for Counted {
         fn clone(&self) -> Self {
             CLONES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -615,31 +762,128 @@ mod tests {
         }
     }
 
+    impl crate::codec::ValueCodec for Counted {
+        fn encode_value(&self, out: &mut Vec<u8>) {
+            self.0.encode_value(out);
+        }
+        fn decode_value(buf: &mut &[u8]) -> Result<Self, crate::codec::CodecError> {
+            u64::decode_value(buf).map(Counted)
+        }
+    }
+
+    /// Values cloned while `f` runs.
+    fn clones_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
+        let before = CLONES.load(std::sync::atomic::Ordering::Relaxed);
+        let r = f();
+        (
+            r,
+            CLONES.load(std::sync::atomic::Ordering::Relaxed) - before,
+        )
+    }
+
+    /// Reservoir samples (n_F = 32) of `parts` 1000-row partitions rolled
+    /// into dataset 1, plus a copy of each for later comparison.
+    fn counted_catalog(
+        cat: &Catalog<Counted>,
+        parts: u64,
+        rng: &mut rand::rngs::SmallRng,
+    ) -> Vec<Sample<Counted>> {
+        (0..parts)
+            .map(|d| {
+                let s = HybridReservoir::new(FootprintPolicy::with_value_budget(32))
+                    .sample_batch((d * 1000..(d + 1) * 1000).map(Counted), rng);
+                assert_eq!(s.kind(), swh_core::sample::SampleKind::Reservoir);
+                let copy = s.clone();
+                cat.roll_in(key(1, d), s).unwrap();
+                copy
+            })
+            .collect()
+    }
+
     #[test]
     fn union_cache_hit_clones_only_the_cached_result() {
+        let _counting = COUNTING.lock().unwrap_or_else(PoisonError::into_inner);
         let cat = Catalog::with_registry(&swh_obs::Registry::new());
         cat.enable_union_cache(Arc::new(UnionCache::with_registry(
             &swh_obs::Registry::new(),
             1 << 20,
         )));
         let mut rng = seeded_rng(78);
-        for d in 0..8u64 {
-            let s = HybridReservoir::new(FootprintPolicy::with_value_budget(32))
-                .sample_batch((d * 1000..(d + 1) * 1000).map(Counted), &mut rng);
-            cat.roll_in(key(1, d), s).unwrap();
-        }
+        counted_catalog(&cat, 8, &mut rng);
         let first = cat
             .union_sample(DatasetId(1), |_| true, 1e-3, &mut rng)
             .unwrap();
-        let before = CLONES.load(std::sync::atomic::Ordering::Relaxed);
-        let hit = cat
-            .union_sample(DatasetId(1), |_| true, 1e-3, &mut rng)
-            .unwrap();
-        let clones = CLONES.load(std::sync::atomic::Ordering::Relaxed) - before;
+        let (hit, clones) = clones_during(|| {
+            cat.union_sample(DatasetId(1), |_| true, 1e-3, &mut rng)
+                .unwrap()
+        });
         assert_eq!(hit, first);
         // The hit copies the cached union (at most n_F = 32 values), never
         // the eight 32-value partition samples behind it.
         assert!(clones <= 32, "cache hit cloned {clones} values");
+    }
+
+    #[test]
+    fn union_miss_clones_no_reservoir_leaf() {
+        // A union over 16 resident reservoir samples plans to one multiway
+        // node that reads every leaf in place: the only values copied are
+        // the k = 32 survivors written into the result. Copying any one
+        // leaf would add its 32 values on top.
+        let _counting = COUNTING.lock().unwrap_or_else(PoisonError::into_inner);
+        let cat = Catalog::with_registry(&swh_obs::Registry::new());
+        let mut rng = seeded_rng(79);
+        let before = counted_catalog(&cat, 16, &mut rng);
+        let (merged, clones) = clones_during(|| {
+            cat.union_sample(DatasetId(1), |_| true, 1e-3, &mut rng)
+                .unwrap()
+        });
+        assert_eq!(merged.parent_size(), 16_000);
+        assert!(
+            clones <= merged.size(),
+            "a union of {} values cloned {clones}",
+            merged.size()
+        );
+        for (d, s) in before.iter().enumerate() {
+            assert_eq!(
+                &cat.get(key(1, d as u64)).unwrap(),
+                s,
+                "partition {d} changed"
+            );
+        }
+    }
+
+    #[test]
+    fn hourly_compaction_clones_no_reservoir_leaf() {
+        // An hour of 60 minute partitions compacts through five merge nodes
+        // (fan-in 16, 16, 16 and 12, then their root), each copying at most
+        // its n_F = 32 survivors — never one of the 60 leaves it reads.
+        use crate::lifecycle::{LifecycleManager, LifecyclePolicy};
+        let _counting = COUNTING.lock().unwrap_or_else(PoisonError::into_inner);
+        let cat = Arc::new(Catalog::with_registry(&swh_obs::Registry::new()));
+        let mut rng = seeded_rng(80);
+        let before = counted_catalog(&cat, 60, &mut rng);
+        let inputs: Vec<PartitionId> = (0..60).map(PartitionId::seq).collect();
+        let held = cat.shared(DatasetId(1), &inputs).unwrap();
+        let manager = LifecycleManager::new(Arc::clone(&cat), None, 1e-3);
+        manager.set_policy(DatasetId(1), LifecyclePolicy::default());
+        let (report, clones) =
+            clones_during(|| manager.compact_dataset(DatasetId(1), &mut rng).unwrap());
+        assert_eq!((report.warm_built, report.inputs_retired), (1, 60));
+        assert!(
+            clones <= 5 * 32,
+            "an hourly compaction cloned {clones} values"
+        );
+        let parts = cat.partitions(DatasetId(1)).unwrap();
+        assert_eq!(parts.len(), 1, "the roll-up replaced its inputs");
+        let rollup = cat.get(PartitionKey {
+            dataset: DatasetId(1),
+            partition: parts[0],
+        });
+        assert_eq!(rollup.unwrap().parent_size(), 60_000);
+        // The retired inputs a reader still holds were never touched.
+        for (s, b) in held.iter().zip(&before) {
+            assert_eq!(&**s, b);
+        }
     }
 
     #[test]

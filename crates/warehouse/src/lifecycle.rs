@@ -36,6 +36,7 @@ use crate::durable;
 use crate::ids::{DatasetId, PartitionId, PartitionKey};
 use crate::store::{DiskStore, StoreError};
 use core::time::Duration;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -859,6 +860,61 @@ pub struct LifecycleManager<T: ValueCodec> {
     metrics: LifecycleMetrics,
 }
 
+/// The partitions of raw stream `raw` among `parts` that a union of raw
+/// sequences `lo..=hi` reads: cold roll-ups fully inside the range, warm
+/// roll-ups over the remainder, then hot leaves. A compacted span that
+/// straddles the range boundary is [`LifecycleError::MisalignedSpan`].
+fn seq_range_selection(
+    parts: impl Iterator<Item = PartitionId> + Clone,
+    policy: LifecyclePolicy,
+    dataset: DatasetId,
+    raw: u32,
+    lo: u64,
+    hi: u64,
+) -> Result<Vec<PartitionId>, LifecycleError> {
+    let mut selected: BTreeSet<PartitionId> = BTreeSet::new();
+    // Raw spans of the selected roll-ups.
+    let mut covered: Vec<(u64, u64)> = Vec::new();
+    let is_covered = |covered: &[(u64, u64)], a: u64, b: u64| {
+        covered.iter().any(|&(clo, chi)| clo <= b && a <= chi)
+    };
+    for tier in [Tier::Cold, Tier::Warm] {
+        for p in parts
+            .clone()
+            .filter(|p| Tier::of_stream(p.stream) == tier && raw_stream(p.stream) == raw)
+        {
+            let (plo, phi) = policy.span_of(p);
+            if phi < lo || plo > hi {
+                continue;
+            }
+            if plo < lo || phi > hi {
+                return Err(LifecycleError::MisalignedSpan {
+                    dataset,
+                    partition: p,
+                    lo: plo,
+                    hi: phi,
+                });
+            }
+            // Warm spans whose seqs a selected cold span already covers
+            // cannot exist (compaction retires them), but guard anyway.
+            if is_covered(&covered, plo, phi) {
+                continue;
+            }
+            selected.insert(p);
+            covered.push((plo, phi));
+        }
+    }
+    for p in parts.filter(|p| {
+        Tier::of_stream(p.stream) == Tier::Hot
+            && p.stream == raw
+            && (lo..=hi).contains(&p.seq)
+            && !is_covered(&covered, p.seq, p.seq)
+    }) {
+        selected.insert(p);
+    }
+    Ok(selected.into_iter().collect())
+}
+
 impl<T: ValueCodec> LifecycleManager<T> {
     /// Manager over `catalog`, persisting compactions to `store` when
     /// given. `p_bound` is the merge probability bound used for roll-ups
@@ -1031,20 +1087,14 @@ impl<T: ValueCodec> LifecycleManager<T> {
                 stream: to.stream(raw),
                 seq: lo,
             };
-            let samples: Vec<Sample<T>> = inputs
-                .iter()
-                .map(|p| {
-                    self.catalog.get(PartitionKey {
-                        dataset,
-                        partition: *p,
-                    })
-                })
-                .collect::<Result<_, _>>()?;
-            let lineages: Vec<Vec<swh_core::lineage::LineageEvent>> =
-                samples.iter().map(|s| s.lineage().to_vec()).collect();
+            // The inputs stay resident (and readable) until the roll-up
+            // replaces them below; the merge reads their shared samples in
+            // place instead of copying them out.
+            let samples = self.catalog.shared(dataset, &inputs)?;
             let parents: Vec<&[swh_core::lineage::LineageEvent]> =
-                lineages.iter().map(Vec::as_slice).collect();
-            let mut merged = swh_core::merge::merge_union(samples, self.p_bound, rng)
+                samples.iter().map(|s| s.lineage()).collect();
+            let leaves = samples.iter().map(|s| Cow::Borrowed(&**s)).collect();
+            let mut merged = swh_core::merge::merge_union(leaves, self.p_bound, rng)
                 .map_err(CatalogError::from)?;
             // The merge DAG records one Merge per plan node; the roll-up is
             // semantically one k-ary merge, and fsck checks the recorded
@@ -1077,19 +1127,9 @@ impl<T: ValueCodec> LifecycleManager<T> {
                     }
                 }
             }
-            for p in &inputs {
-                self.catalog.roll_out(PartitionKey {
-                    dataset,
-                    partition: *p,
-                })?;
-            }
-            self.catalog.roll_in(
-                PartitionKey {
-                    dataset,
-                    partition: output,
-                },
-                merged,
-            )?;
+            // One catalog transition: a union never sees the inputs gone
+            // before the roll-up is in.
+            self.catalog.replace(dataset, &inputs, output, merged)?;
             record(EventKind::Compaction, 0, 0, dataset.0, fan_in as u64);
             self.metrics.compactions.inc();
             self.metrics.retired_inputs.add(fan_in as u64);
@@ -1227,6 +1267,11 @@ impl<T: ValueCodec> LifecycleManager<T> {
     /// samples. A compacted span that straddles the range boundary is an
     /// error ([`LifecycleError::MisalignedSpan`]) — its raw inputs were
     /// retired, so the range cannot be answered exactly.
+    ///
+    /// The partitions are chosen from the same catalog snapshot the union
+    /// reads ([`Catalog`]'s selection and sample snapshot share one read
+    /// lock), so a compaction running beside the call lands wholly before
+    /// or wholly after it and the union always covers exactly `seqs`.
     pub fn union_seq_range<R: rand::Rng + ?Sized>(
         &self,
         dataset: DatasetId,
@@ -1236,46 +1281,12 @@ impl<T: ValueCodec> LifecycleManager<T> {
     ) -> Result<Sample<T>, LifecycleError> {
         let policy = self.policy(dataset);
         let (lo, hi) = (*seqs.start(), *seqs.end());
-        let parts = self.catalog.partitions(dataset)?;
-        let mut selected: BTreeSet<PartitionId> = BTreeSet::new();
-        let mut covered: BTreeSet<u64> = BTreeSet::new();
-        for tier in [Tier::Cold, Tier::Warm] {
-            for p in parts
-                .iter()
-                .filter(|p| Tier::of_stream(p.stream) == tier && raw_stream(p.stream) == raw)
-            {
-                let (plo, phi) = policy.span_of(*p);
-                if phi < lo || plo > hi {
-                    continue;
-                }
-                if plo < lo || phi > hi {
-                    return Err(LifecycleError::MisalignedSpan {
-                        dataset,
-                        partition: *p,
-                        lo: plo,
-                        hi: phi,
-                    });
-                }
-                // Warm spans whose seqs a selected cold span already covers
-                // cannot exist (compaction retires them), but guard anyway.
-                if (plo..=phi).any(|s| covered.contains(&s)) {
-                    continue;
-                }
-                selected.insert(*p);
-                covered.extend(plo..=phi);
-            }
-        }
-        for p in parts.iter().filter(|p| {
-            Tier::of_stream(p.stream) == Tier::Hot
-                && p.stream == raw
-                && (lo..=hi).contains(&p.seq)
-                && !covered.contains(&p.seq)
-        }) {
-            selected.insert(*p);
-        }
-        Ok(self
-            .catalog
-            .union_sample(dataset, |p| selected.contains(&p), self.p_bound, rng)?)
+        self.catalog.union_of(
+            dataset,
+            |parts| seq_range_selection(parts, policy, dataset, raw, lo, hi),
+            self.p_bound,
+            rng,
+        )
     }
 
     /// Human/machine-readable lifecycle status of every dataset in the

@@ -7,6 +7,7 @@ use crate::ingest::SamplerConfig;
 use crate::parallel::sample_partitions_parallel;
 use crate::store::{DiskStore, StoreError};
 use rand::Rng;
+use std::sync::Arc;
 use swh_core::footprint::FootprintPolicy;
 use swh_core::lineage;
 use swh_core::sample::Sample;
@@ -191,7 +192,7 @@ impl<T: SampleValue> SampleWarehouse<T> {
 
     /// Roll a partition sample out of the warehouse, returning it.
     pub fn roll_out(&self, key: PartitionKey) -> Result<Sample<T>, WarehouseError> {
-        Ok(self.catalog.roll_out(key)?.sample)
+        Ok(Arc::unwrap_or_clone(self.catalog.roll_out(key)?.sample))
     }
 
     /// Uniform sample of the union of the selected partitions.

@@ -8,6 +8,7 @@
 //! of the window's union — a moving-window sample maintained entirely from
 //! per-partition samples.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use swh_core::merge::{merge_union, MergeError};
 use swh_core::sample::Sample;
@@ -80,6 +81,7 @@ impl<T: SampleValue> SlidingWindow<T> {
     }
 
     /// Produce a uniform sample of the union of the window's partitions.
+    /// The resident samples are lent to the union engine, not copied.
     ///
     /// # Panics
     /// Panics if the window is empty.
@@ -89,7 +91,7 @@ impl<T: SampleValue> SlidingWindow<T> {
         rng: &mut R,
     ) -> Result<Sample<T>, MergeError> {
         assert!(!self.entries.is_empty(), "window is empty");
-        let samples = self.entries.iter().map(|(_, s)| s.clone()).collect();
+        let samples = self.entries.iter().map(|(_, s)| Cow::Borrowed(s)).collect();
         merge_union(samples, p_bound, rng)
     }
 }
@@ -151,7 +153,7 @@ impl<T: SampleValue> TumblingWindow<T> {
         };
         let samples = std::mem::take(&mut self.pending)
             .into_iter()
-            .map(|(_, s)| s)
+            .map(|(_, s)| Cow::Owned(s))
             .collect();
         let merged = merge_union(samples, self.p_bound, rng)?;
         Ok(Some((first, last, merged)))
@@ -168,7 +170,7 @@ impl<T: SampleValue> TumblingWindow<T> {
         }
         let samples = std::mem::take(&mut self.pending)
             .into_iter()
-            .map(|(_, s)| s)
+            .map(|(_, s)| Cow::Owned(s))
             .collect();
         Ok(Some(merge_union(samples, self.p_bound, rng)?))
     }

@@ -184,6 +184,82 @@ fn union_cache_is_never_stale_under_concurrent_roll_in() {
 /// Retention composes with compaction in one sweep: hot partitions roll
 /// into warm spans, and spans whose age exceeds the policy expire — while
 /// recent data keeps answering unions.
+/// Rows in minute partition `seq` of the race test: uneven, so a union
+/// that drops or double-counts any partition shows in its parent size.
+fn minute_rows(seq: u64) -> u64 {
+    5 + seq % 7
+}
+
+/// A union racing the compactor must cover exactly its range. A writer
+/// rolls in minutes and sweeps compaction after every hour (4 minutes;
+/// 12-minute days) while a reader unions whole-day spans near the newest
+/// rolled-in day, where compaction is busiest. Day-aligned spans are
+/// aligned in every compaction state, so each union must succeed and its
+/// parent size must equal the raw rows of its range — however the
+/// partitions it reads were tiered at that instant.
+#[test]
+fn union_seq_range_covers_its_range_while_compaction_runs() {
+    use rand::Rng;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    const DAY: u64 = 12;
+    const DAYS: u64 = 150;
+    const MIN_UNIONS: usize = 1_000;
+
+    /// Clears the writing flag however the writer ends, so a writer that
+    /// panics fails the test instead of leaving the reader waiting.
+    struct Done<'a>(&'a AtomicBool);
+    impl Drop for Done<'_> {
+        fn drop(&mut self) {
+            self.0.store(false, Ordering::Release);
+        }
+    }
+
+    let catalog: Arc<Catalog<u64>> = Arc::new(Catalog::new());
+    let manager = LifecycleManager::new(Arc::clone(&catalog), None, 1e-3);
+    manager.set_policy(DS, policy(4, 3));
+    let published = AtomicU64::new(0);
+    let writing = AtomicBool::new(true);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let _done = Done(&writing);
+            let mut rng = seeded_rng(0xACE);
+            for seq in 0..DAYS * DAY {
+                let lo = seq * 100;
+                let sample = HybridReservoir::new(FootprintPolicy::with_value_budget(8))
+                    .sample_batch(lo..lo + minute_rows(seq), &mut rng);
+                catalog.roll_in(key(seq), sample).unwrap();
+                published.store(seq + 1, Ordering::Release);
+                if (seq + 1) % 4 == 0 {
+                    manager.sweep(&mut rng).unwrap();
+                }
+            }
+        });
+        let mut rng = seeded_rng(0xBEE);
+        let mut unions = 0;
+        loop {
+            let writer_done = !writing.load(Ordering::Acquire);
+            if writer_done && unions >= MIN_UNIONS {
+                break;
+            }
+            let days = published.load(Ordering::Acquire) / DAY;
+            if days == 0 {
+                assert!(!writer_done, "the writer stopped before a whole day");
+                std::thread::yield_now();
+                continue;
+            }
+            let last = rng.random_range(days.saturating_sub(2)..days);
+            let first = rng.random_range(last.saturating_sub(2)..=last);
+            let (lo, hi) = (first * DAY, (last + 1) * DAY - 1);
+            let rows: u64 = (lo..=hi).map(minute_rows).sum();
+            match manager.union_seq_range(DS, 0, lo..=hi, &mut rng) {
+                Ok(s) => assert_eq!(s.parent_size(), rows, "union {lo}..={hi}"),
+                Err(e) => panic!("union {lo}..={hi} failed: {e}"),
+            }
+            unions += 1;
+        }
+    });
+}
+
 #[test]
 fn retention_and_compaction_compose_in_one_sweep() {
     let mut rng = seeded_rng(0xDEAD);
@@ -313,7 +389,10 @@ mod crash_matrix {
         )
         .unwrap();
         let merged = merge_union(
-            vec![catalog.get(key(0)).unwrap(), catalog.get(key(1)).unwrap()],
+            vec![
+                std::borrow::Cow::Owned(catalog.get(key(0)).unwrap()),
+                std::borrow::Cow::Owned(catalog.get(key(1)).unwrap()),
+            ],
             1e-3,
             &mut rng,
         )

@@ -1,8 +1,7 @@
 //! Tour of the merge operators: serial fold (the paper's setup), direct
 //! multiway merge (Theorem 1 generalized), and the union engine — one
-//! planned merge DAG with alias-cached symmetric splits (§4.2) and multiway
-//! nodes, run inline and on every host thread — all producing uniform
-//! samples of the same union.
+//! planned merge DAG of pairwise and multiway nodes, run inline and on
+//! every host thread — all producing uniform samples of the same union.
 //!
 //! ```sh
 //! cargo run --release --example merge_strategies
@@ -13,7 +12,14 @@ use sample_warehouse::sampling::{
     HybridReservoir, Sample, Sampler,
 };
 use sample_warehouse::variates::seeded_rng;
+use std::borrow::Cow;
 use std::time::Instant;
+
+/// Hand owned samples to the union engine (which also accepts borrowed
+/// ones, and then copies none of them).
+fn owned(samples: Vec<Sample<u64>>) -> Vec<Cow<'static, Sample<u64>>> {
+    samples.into_iter().map(Cow::Owned).collect()
+}
 
 fn partitions(parts: u64, per: u64, n_f: u64, rng: &mut rand::rngs::SmallRng) -> Vec<Sample<u64>> {
     let policy = FootprintPolicy::with_value_budget(n_f);
@@ -44,15 +50,15 @@ fn main() {
         ),
         (
             "union engine, 1 thread",
-            Box::new(|s, rng| merge_tree_parallel(s, 1e-3, 1, rng).unwrap()),
+            Box::new(|s, rng| merge_tree_parallel(owned(s), 1e-3, 1, rng).unwrap()),
         ),
         (
             "union engine, all threads",
-            Box::new(move |s, rng| merge_tree_parallel(s, 1e-3, threads, rng).unwrap()),
+            Box::new(move |s, rng| merge_tree_parallel(owned(s), 1e-3, threads, rng).unwrap()),
         ),
         (
             "union engine, planned",
-            Box::new(|s, rng| merge_union(s, 1e-3, rng).unwrap()),
+            Box::new(|s, rng| merge_union(owned(s), 1e-3, rng).unwrap()),
         ),
     ];
 

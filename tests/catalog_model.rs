@@ -82,7 +82,7 @@ fn catalog_agrees_with_model() {
                     let real = catalog.roll_out(key(dataset, seq));
                     match model.remove(&(dataset, seq)) {
                         Some(expected) => {
-                            assert_eq!(real.unwrap().sample, expected, "case {case}");
+                            assert_eq!(*real.unwrap().sample, expected, "case {case}");
                         }
                         None => assert!(real.is_err(), "case {case}"),
                     }

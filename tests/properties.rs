@@ -96,8 +96,9 @@ fn purge_reservoir_exact_size() {
         let values = bag(&mut rng);
         let m = rng.random_range(0u64..400);
         let orig = CompactHistogram::from_bag(values);
-        let mut h = orig.clone();
-        purge_reservoir(&mut h, m, &mut rng);
+        let before = orig.clone();
+        let h = purge_reservoir(&orig, m, &mut rng);
+        assert_eq!(orig, before, "the purged input changed, case {case}");
         assert_eq!(h.total(), orig.total().min(m), "case {case}");
         for (v, c) in h.iter() {
             assert!(c <= orig.count(v), "case {case}");
