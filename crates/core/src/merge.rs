@@ -737,7 +737,7 @@ pub fn hr_merge_multiway<T: SampleValue, R: Rng + ?Sized>(
 
 /// [`hr_merge_multiway`] over owned or borrowed inputs — the union
 /// engine's multiway node. Inputs are only read: each share is subsampled
-/// straight into the one output, reserved for its `k` elements.
+/// into a fresh histogram and joined into the one output.
 fn multiway<T: SampleValue, R: Rng + ?Sized>(
     mut samples: Vec<Cow<'_, Sample<T>>>,
     rng: &mut R,
@@ -783,7 +783,10 @@ fn multiway<T: SampleValue, R: Rng + ?Sized>(
     let purges: Vec<(PurgeKind, u64)> = shares.iter().map(|&l| (PurgeKind::Reservoir, l)).collect();
     let parent_lineages: Vec<&[LineageEvent]> = samples.iter().map(|s| s.lineage()).collect();
     let lineage = merged_lineage_with_purges(&parent_lineages, &purges, fan_in, 0);
-    let mut merged = CompactHistogram::with_slot_capacity(k);
+    // Not reserved for k: the shares of duplicate-heavy inputs overlap in
+    // value, and a table sized for k would stay oversized wherever the
+    // union is kept (the merged-union cache, a compacted roll-up).
+    let mut merged = CompactHistogram::new();
     for (s, share) in samples.into_iter().zip(shares) {
         merged.join(subsample_hist(s, share, rng));
     }

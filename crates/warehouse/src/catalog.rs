@@ -13,6 +13,7 @@ use std::sync::{Arc, PoisonError, RwLock};
 use swh_core::merge::MergeError;
 use swh_core::sample::Sample;
 use swh_core::value::SampleValue;
+use swh_obs::journal::EventKind;
 
 /// A rolled-in partition sample plus bookkeeping.
 #[derive(Debug, Clone)]
@@ -222,16 +223,19 @@ impl<T: SampleValue> Catalog<T> {
         );
         drop(seq);
         drop(map);
-        self.metrics.roll_ins.inc();
-        swh_obs::journal::record(
-            swh_obs::journal::EventKind::CatalogRollIn,
-            0,
-            0,
-            key.dataset.0,
-            key.partition.seq,
-        );
-        self.invalidate_cache(key.dataset);
+        self.note_roll(EventKind::CatalogRollIn, key);
         Ok(())
+    }
+
+    /// Count, journal and cache-invalidate one roll-in or roll-out, after
+    /// the catalog edit it reports.
+    fn note_roll(&self, kind: EventKind, key: PartitionKey) {
+        match kind {
+            EventKind::CatalogRollIn => self.metrics.roll_ins.inc(),
+            _ => self.metrics.roll_outs.inc(),
+        }
+        swh_obs::journal::record(kind, 0, 0, key.dataset.0, key.partition.seq);
+        self.invalidate_cache(key.dataset);
     }
 
     /// Roll a partition sample out, returning it.
@@ -247,15 +251,7 @@ impl<T: SampleValue> Catalog<T> {
             map.remove(&key.dataset);
         }
         drop(map);
-        self.metrics.roll_outs.inc();
-        swh_obs::journal::record(
-            swh_obs::journal::EventKind::CatalogRollOut,
-            0,
-            0,
-            key.dataset.0,
-            key.partition.seq,
-        );
-        self.invalidate_cache(key.dataset);
+        self.note_roll(EventKind::CatalogRollOut, key);
         Ok(entry)
     }
 
@@ -301,25 +297,9 @@ impl<T: SampleValue> Catalog<T> {
         drop(seq);
         drop(map);
         for p in inputs {
-            self.metrics.roll_outs.inc();
-            swh_obs::journal::record(
-                swh_obs::journal::EventKind::CatalogRollOut,
-                0,
-                0,
-                dataset.0,
-                p.seq,
-            );
-            self.invalidate_cache(dataset);
+            self.note_roll(EventKind::CatalogRollOut, key(*p));
         }
-        self.metrics.roll_ins.inc();
-        swh_obs::journal::record(
-            swh_obs::journal::EventKind::CatalogRollIn,
-            0,
-            0,
-            dataset.0,
-            output.seq,
-        );
-        self.invalidate_cache(dataset);
+        self.note_roll(EventKind::CatalogRollIn, key(output));
         Ok(())
     }
 
