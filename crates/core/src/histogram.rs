@@ -70,6 +70,12 @@ impl<T: SampleValue> CompactHistogram<T> {
         self.counts.capacity()
     }
 
+    /// Release hash capacity beyond what the current distinct values need
+    /// (after building into a table reserved for an upper bound).
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.counts.shrink_to_fit();
+    }
+
     /// Build from a bag of values (the inverse of [`expand`](Self::expand)).
     pub fn from_bag<I: IntoIterator<Item = T>>(bag: I) -> Self {
         let mut h = Self::new();

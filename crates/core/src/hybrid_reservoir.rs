@@ -451,12 +451,15 @@ impl<T: SampleValue> Sampler<T> for HybridReservoir<T> {
             ),
             Phase::Reservoir => {
                 let (hist, size_is_everything) = if self.expanded {
-                    // The bag holds at most n_F values, so reserving its
-                    // length bounds the table by the footprint.
+                    // The bag holds at most n_F values: reserving its
+                    // length spares the rebuild every rehash, and the
+                    // shrink gives back what duplicates left unused (a
+                    // no-op for a bag of distinct values).
                     let mut hist = CompactHistogram::with_slot_capacity(index_u64(self.bag.len()));
                     for v in self.bag {
                         hist.insert_one(v);
                     }
+                    hist.shrink_to_fit();
                     (hist, false)
                 } else {
                     // The stream ended between the phase switch and the
@@ -682,6 +685,24 @@ mod tests {
                 assert_eq!(s1, s2, "samples diverge at n={n} n_f={n_f} chunk={chunk}");
             }
         }
+    }
+
+    #[test]
+    fn duplicate_heavy_reservoir_keeps_no_n_f_sized_table() {
+        // 2048 values twice reach the n_F = 4096 footprint, then 200k
+        // copies of one value: the reservoir holds 4096 values but only a
+        // few dozen distinct ones, and finalize must not keep the table it
+        // reserved for 4096.
+        let mut rng = seeded_rng(12);
+        let stream: Vec<u64> = (0..2048u64)
+            .flat_map(|v| [v, v])
+            .chain(std::iter::repeat_n(7, 200_000))
+            .collect();
+        let s = HybridReservoir::new(policy(4096)).sample_batch(stream, &mut rng);
+        assert_eq!((s.kind(), s.size()), (SampleKind::Reservoir, 4096));
+        assert!(s.distinct() < 256, "{} distinct", s.distinct());
+        let capacity = s.histogram().capacity();
+        assert!(capacity < 1024, "kept a table for {capacity} values");
     }
 
     #[test]
