@@ -317,7 +317,7 @@ pub fn scope(name: &str) -> Scope {
 /// it, and its elapsed time is charged to the parent's child accumulator.
 ///
 /// Used where the path must be stable regardless of caller — a merge-plan
-/// node is `union/node/{pw,cp,mw,rs}{index}` whether the union ran on one
+/// node is `union/node/{pw,mw,rs}{index}` whether the union ran on one
 /// thread or eight, and the merge operators it invokes record under flat
 /// `merge/{restream|hr|hb}/s{bucket}` paths regardless of plan shape.
 pub fn scope_rooted(path: &str) -> Scope {
